@@ -203,55 +203,6 @@ def run_trial_to_record(
     )
 
 
-def run_batch_to_records(
-    campaign: str,
-    items: list[tuple[str, ExperimentConfig]],
-    attempt: int = 1,
-) -> list[TrialRecord]:
-    """Run one replicate batch, returning per-replicate records.
-
-    The batched twin of calling :func:`run_trial_to_record` once per
-    ``(key, config)``: the replicates advance together through one
-    :class:`~repro.batch.BatchedStepper` (shared workload synthesis,
-    shared carbon-trace integral, stacked scoring), and each comes back
-    as its *own* content-addressed record whose metrics are byte-identical
-    to the sequential run's — the bit-identity contract makes batched and
-    sequential store records interchangeable (only ``duration_s``, a
-    wall-clock measurement, differs: each record is charged an equal
-    share of the batch).
-
-    Failure isolation stays per-replicate: if the batch raises anywhere
-    (one replicate's scheduler crashing mid-wave poisons the shared
-    pump), every replicate falls back to a solo :func:`run_trial_to_record`
-    so healthy batch-mates still produce ``ok`` records and only the bad
-    trial records its error.
-    """
-    from repro.batch import run_batched
-
-    start = time.perf_counter()
-    try:
-        for key, _ in items:
-            faults.maybe_inject_worker(key, attempt)
-        results = run_batched([config for _, config in items])
-    except Exception:
-        return [
-            run_trial_to_record(key, campaign, config, attempt=attempt)
-            for key, config in items
-        ]
-    share = (time.perf_counter() - start) / len(items)
-    return [
-        TrialRecord(
-            key=key,
-            campaign=campaign,
-            config=config_to_dict(config),
-            status=STATUS_OK,
-            metrics=result_metrics(result),
-            duration_s=share,
-        )
-        for (key, config), result in zip(items, results)
-    ]
-
-
 def _pool_worker_init() -> None:
     """Pool-worker process initializer: restore default signal handling.
 
@@ -282,47 +233,15 @@ def _pool_worker(
     )
 
 
-def _batch_pool_worker(
-    payload: tuple[str, list[tuple[str, dict]]],
-    attempt: int = 1,
-    checkpoint: CheckpointPolicy | None = None,
-) -> list[TrialRecord]:
-    """Picklable worker for one replicate batch: N records per task.
-
-    ``checkpoint`` is accepted for submit-signature parity but ignored:
-    mid-trial checkpointing is a per-stepper affair and a batched group
-    is supervised (retried, quarantined) as a unit instead.
-    """
-    campaign, keyed_dicts = payload
-    return run_batch_to_records(
-        campaign,
-        [(key, config_from_dict(d)) for key, d in keyed_dicts],
-        attempt=attempt,
-    )
-
-
 @dataclass
 class _TrialState:
-    """Supervision bookkeeping for one pending task.
-
-    A task is either one trial key (``group is None``) or one batched
-    replicate group — several ``(key, config)`` trials advancing together
-    through a :class:`~repro.batch.BatchedStepper`. A group is supervised
-    (submitted, timed out, retried, quarantined) as a unit; ``key`` and
-    ``config`` then name the group's first trial (backoff seeding,
-    labels).
-    """
+    """Supervision bookkeeping for one pending trial key."""
 
     key: str
     config: Any
     attempt: int = 0  # attempts charged so far (incremented on submit)
     errors: list[str] = field(default_factory=list)
     not_before: float = 0.0  # monotonic time the next attempt may start
-    group: list[tuple[str, Any]] | None = None  # batched replicate group
-
-    @property
-    def trials(self) -> int:
-        return len(self.group) if self.group is not None else 1
 
 
 @dataclass
@@ -359,7 +278,8 @@ class CampaignRunner:
         finish.
     workers:
         Pool size. ``None`` uses the CPU count; ``0``/``1`` runs trials
-        inline in this process (no pool — useful for tests and tiny runs).
+        inline in this process (no pool — useful for tests and tiny runs);
+        negative sizes raise :class:`ValueError`.
     code_version:
         Folded into every trial key; defaults to ``repro.__version__``.
     supervisor:
@@ -373,22 +293,11 @@ class CampaignRunner:
         done-count (campaigns have no simulated clock; elapsed wall
         seconds ride along as the time axis). The caller owns the
         exporter's lifecycle (``close``).
-    batch_replicates:
-        When > 1, pending trials that differ only in the replicate fields
-        (:data:`~repro.campaign.spec.REPLICATE_FIELDS`) are grouped and
-        run through one :class:`~repro.batch.BatchedStepper` per group of
-        up to this many replicates — one pool task producing one
-        content-addressed record *per replicate*, byte-identical to the
-        sequential records (see :doc:`docs/batching`). ``1`` (the
-        default) disables grouping entirely.
     """
 
     #: Top-level (picklable) pool entry point taking
     #: ``(payload, attempt, checkpoint_policy)``.
     worker = staticmethod(_pool_worker)
-    #: Pool entry point for one batched replicate group; returns a
-    #: ``list[TrialRecord]`` (one per replicate).
-    batch_worker = staticmethod(_batch_pool_worker)
 
     def __init__(
         self,
@@ -397,14 +306,14 @@ class CampaignRunner:
         code_version: str | None = None,
         supervisor: SupervisorConfig | None = None,
         exporter=None,
-        batch_replicates: int = 1,
     ) -> None:
+        if workers is not None and workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
         self.store = store
         self.workers = workers
         self.code_version = code_version
         self.supervisor = supervisor if supervisor is not None else SupervisorConfig()
         self.exporter = exporter
-        self.batch_replicates = max(1, int(batch_replicates))
         self._stop = threading.Event()
 
     def request_shutdown(self) -> None:
@@ -435,65 +344,6 @@ class CampaignRunner:
 
     def label_for(self, record: TrialRecord) -> str:
         return trial_label(config_from_dict(record.config))
-
-    def replicate_group_key(self, config) -> Any | None:
-        """Hashable batch-compatibility key, or ``None`` if unbatchable.
-
-        Trials sharing a key differ only in replicate fields and may run
-        through one :class:`~repro.batch.BatchedStepper`. The base
-        implementation batches :class:`ExperimentConfig` trials only;
-        other config types (e.g. federation) fall back to solo execution.
-        """
-        if isinstance(config, ExperimentConfig):
-            from repro.batch import replicate_signature
-
-            return replicate_signature(config)
-        return None
-
-    def batch_payload_for(self, campaign: str, group) -> tuple:
-        """The picklable payload handed to :attr:`batch_worker`."""
-        return (
-            campaign,
-            [(key, config_to_dict(config)) for key, config in group],
-        )
-
-    def run_batch_records(
-        self, campaign: str, group, attempt: int = 1
-    ) -> list[TrialRecord]:
-        """Execute one replicate group inline (the no-pool path)."""
-        return run_batch_to_records(campaign, list(group), attempt=attempt)
-
-    def _partition_batches(
-        self, pending: list[tuple[str, Any]]
-    ) -> tuple[list[list[tuple[str, Any]]], list[tuple[str, Any]]]:
-        """Split pending trials into replicate groups and solo leftovers.
-
-        Trials group by :meth:`replicate_group_key`, chunked to at most
-        :attr:`batch_replicates` per group; singleton chunks (and
-        unbatchable configs) run solo. Resume interacts *per key* — a
-        re-run groups only the trials still missing from the store, so a
-        campaign half-finished sequentially finishes batched (and vice
-        versa) without re-running anything.
-        """
-        if self.batch_replicates <= 1:
-            return [], list(pending)
-        groups: dict[Any, list[tuple[str, Any]]] = {}
-        solos: list[tuple[str, Any]] = []
-        for key, config in pending:
-            group_key = self.replicate_group_key(config)
-            if group_key is None:
-                solos.append((key, config))
-            else:
-                groups.setdefault(group_key, []).append((key, config))
-        batches: list[list[tuple[str, Any]]] = []
-        for items in groups.values():
-            for start in range(0, len(items), self.batch_replicates):
-                chunk = items[start : start + self.batch_replicates]
-                if len(chunk) >= 2:
-                    batches.append(chunk)
-                else:
-                    solos.extend(chunk)
-        return batches, solos
 
     # ------------------------------------------------------------------
     def keyed_trials(self, spec) -> list[tuple[str, Any]]:
@@ -645,7 +495,7 @@ class CampaignRunner:
 
     def _effective_workers(self, pending: int) -> int:
         if self.workers is not None:
-            return max(0, self.workers)
+            return self.workers
         return min(os.cpu_count() or 1, max(pending, 1))
 
     # -- supervision ------------------------------------------------------
@@ -708,66 +558,29 @@ class CampaignRunner:
         finish: Callable[[TrialRecord], None],
     ) -> None:
         """No-pool path: retries and quarantine apply, timeouts cannot (a
-        hung trial would hang this very process).
-
-        Replicate groups run first, one batched attempt each; replicates
-        whose batched record failed rejoin the solo queue (carrying the
-        attempt already charged) and retry individually — the bit-identity
-        contract makes a solo retry reproduce exactly what an in-batch
-        retry would.
-        """
+        hung trial would hang this very process)."""
         sup = self.supervisor
-        batches, solos = self._partition_batches(pending)
-        remaining = len(pending)
-
-        def check_stop() -> None:
+        for index, (key, config) in enumerate(pending):
             if self._stop.is_set():
                 raise CampaignInterrupted(
-                    completed=len(pending) - remaining, pending=remaining
+                    completed=index, pending=len(pending) - index
                 )
-
-        retries: list[_TrialState] = []
-        for group in batches:
-            check_stop()
-            records = self.run_batch_records(campaign, group, attempt=1)
-            for record, (key, config) in zip(records, group):
-                if record.ok:
-                    remaining -= 1
-                    finish(record)
-                else:
-                    retries.append(
-                        _TrialState(
-                            key=key,
-                            config=config,
-                            attempt=1,
-                            errors=[record.error or "trial failed"],
-                        )
-                    )
-
-        states = retries + [
-            _TrialState(key=key, config=config) for key, config in solos
-        ]
-        for state in states:
-            check_stop()
+            state = _TrialState(key=key, config=config)
             record = None
             while state.attempt < sup.max_attempts:
-                if state.errors:  # a previous attempt failed: back off
-                    self._count("campaign.retries")
-                    time.sleep(backoff_delay(sup, state.key, state.attempt))
                 state.attempt += 1
                 record = self.run_record(
-                    state.key, campaign, state.config, attempt=state.attempt
+                    key, campaign, config, attempt=state.attempt
                 )
                 if record.ok:
                     break
                 state.errors.append(record.error or "trial failed")
-                if self._stop.is_set():
+                if state.attempt >= sup.max_attempts or self._stop.is_set():
                     break
-            if record is None:  # batched attempt exhausted the budget
-                record = self._quarantine_record(state, campaign)
+                self._count("campaign.retries")
+                time.sleep(backoff_delay(sup, key, state.attempt))
             if not record.ok and state.attempt >= sup.max_attempts:
                 self._count("campaign.quarantines")
-            remaining -= 1
             finish(self._stamp(record, state))
 
     def _run_pool(
@@ -786,25 +599,13 @@ class CampaignRunner:
             max_workers=workers, initializer=_pool_worker_init
         )
         in_flight: dict[Future, tuple[_TrialState, float | None]] = {}
-        batches, solos = self._partition_batches(pending)
-        waiting = [
-            _TrialState(key=group[0][0], config=group[0][1], group=group)
-            for group in batches
-        ] + [_TrialState(key=key, config=config) for key, config in solos]
+        waiting = [_TrialState(key=key, config=config) for key, config in pending]
         concluded = 0
 
         def submit(state: _TrialState) -> None:
             state.attempt += 1
-            if state.group is not None:
-                payload = self.batch_payload_for(campaign, state.group)
-                future = pool.submit(
-                    self.batch_worker, payload, state.attempt, checkpoint
-                )
-            else:
-                payload = self.payload_for(state.key, campaign, state.config)
-                future = pool.submit(
-                    self.worker, payload, state.attempt, checkpoint
-                )
+            payload = self.payload_for(state.key, campaign, state.config)
+            future = pool.submit(self.worker, payload, state.attempt, checkpoint)
             deadline = (
                 time.monotonic() + sup.trial_timeout_s
                 if sup.trial_timeout_s is not None
@@ -817,28 +618,6 @@ class CampaignRunner:
             concluded += 1
             finish(self._stamp(record, state))
 
-        def conclude_batch(state: _TrialState, records) -> None:
-            """Bank a returned batch: ok records conclude per replicate;
-            failed replicates rejoin the queue as *solo* states (carrying
-            the group's attempt history) so their retries go through the
-            ordinary supervision path — bit-identity makes the solo rerun
-            equivalent to an in-batch one."""
-            nonlocal concluded
-            for record, (key, config) in zip(records, state.group):
-                if record.ok:
-                    concluded += 1
-                    finish(self._stamp(record, state))
-                else:
-                    handle_failure(
-                        _TrialState(
-                            key=key,
-                            config=config,
-                            attempt=state.attempt,
-                            errors=list(state.errors),
-                        ),
-                        record.error or "trial failed",
-                    )
-
         def handle_failure(
             state: _TrialState, message: str, timed_out: bool = False
         ) -> None:
@@ -847,21 +626,15 @@ class CampaignRunner:
             if timed_out:
                 self._count("campaign.timeouts")
             if state.attempt >= sup.max_attempts:
-                self._count("campaign.quarantines", state.trials)
-                concluded += state.trials
-                for key, config in state.group or [(state.key, state.config)]:
-                    finish(
-                        self._quarantine_record(
-                            replace(state, key=key, config=config, group=None),
-                            campaign,
-                        )
-                    )
+                self._count("campaign.quarantines")
+                concluded += 1
+                finish(self._quarantine_record(state, campaign))
             else:
                 self._count("campaign.retries")
                 state.not_before = time.monotonic() + backoff_delay(
                     sup, state.key, state.attempt
                 )
-                waiting.append(state)  # a group retries as a unit
+                waiting.append(state)
 
         def rebuild_pool() -> None:
             """Replace a broken/hung pool; resubmit surviving in-flight
@@ -900,11 +673,7 @@ class CampaignRunner:
                     record = future.result()
                 except Exception:
                     continue  # failed mid-shutdown: resume will retry it
-                if state.group is not None:
-                    for rec in record:
-                        if rec.ok:
-                            conclude(state, rec)
-                elif record.ok:
+                if record.ok:
                     conclude(state, record)
 
         try:
@@ -913,8 +682,7 @@ class CampaignRunner:
                     drain_completed()
                     raise CampaignInterrupted(
                         completed=concluded,
-                        pending=sum(s.trials for s in waiting)
-                        + sum(s.trials for s, _ in in_flight.values()),
+                        pending=len(waiting) + len(in_flight),
                     )
                 now = time.monotonic()
                 ready = [s for s in waiting if s.not_before <= now]
@@ -955,9 +723,7 @@ class CampaignRunner:
                     except Exception as exc:
                         handle_failure(state, f"{type(exc).__name__}: {exc}")
                     else:
-                        if state.group is not None:
-                            conclude_batch(state, record)
-                        elif record.ok:
+                        if record.ok:
                             conclude(state, record)
                         else:
                             handle_failure(state, record.error or "trial failed")

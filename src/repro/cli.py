@@ -71,6 +71,17 @@ def _error(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for pool sizes: an int >= 0 (0 = run inline)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common_experiment_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid", default="DE", choices=GRID_CODES)
     parser.add_argument("--executors", type=int, default=25)
@@ -202,7 +213,11 @@ def _campaign_spec(args: argparse.Namespace):
     jobs = getattr(args, "jobs", None)
     executors = getattr(args, "executors", None)
     if jobs is not None or executors is not None:
-        spec = spec.scaled(num_jobs=jobs, num_executors=executors)
+        try:
+            spec = spec.scaled(num_jobs=jobs, num_executors=executors)
+        except ValueError as exc:
+            _error(f"invalid campaign scaling: {exc}")
+            return None
     return spec
 
 
@@ -282,7 +297,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         workers=args.workers,
         supervisor=_supervisor_from_args(args),
         exporter=exporter,
-        batch_replicates=getattr(args, "batch_replicates", 1),
     )
     print(
         f"campaign {spec.name!r}: {len(runner.keyed_trials(spec))} trials "
@@ -468,7 +482,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     from repro.experiments.perf import (
         build_scenarios,
         format_report,
-        measure_batched_speedup,
         measure_campaign_throughput,
         run_scenario,
         smoke_scenarios,
@@ -493,19 +506,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         if not args.quiet:
             print("running campaign-throughput (smoke preset) ...", flush=True)
         campaign = measure_campaign_throughput()
-    batched = None
-    if args.batch_replicates > 1:
-        # Smoke mode keeps the paired measurement seconds-scale.
-        num_jobs = 50 if args.smoke else 200
-        if not args.quiet:
-            print(
-                f"running batched-replicate pairing (pcaps-{num_jobs} x "
-                f"{args.batch_replicates}) ...",
-                flush=True,
-            )
-        batched = measure_batched_speedup(
-            num_jobs=num_jobs, replicates=args.batch_replicates
-        )
     print(format_report(measurements))
     if campaign is not None:
         print(
@@ -513,20 +513,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             f"trials/min ({campaign['trials']} trials in "
             f"{campaign['wall_s']:.1f}s, preset {campaign['preset']!r})"
         )
-    if batched is not None:
-        print(
-            f"batched replicates ({batched['scenario']}): "
-            f"{batched['batched_trials_per_min']:.1f} trials/min batched "
-            f"vs {batched['sequential_trials_per_min']:.1f} sequential "
-            f"({batched['speedup']:.2f}x, target "
-            f"{batched['target_speedup']}x)"
-        )
-    write_report(
-        measurements,
-        args.output,
-        campaign_throughput=campaign,
-        batched_replicates=batched,
-    )
+    write_report(measurements, args.output, campaign_throughput=campaign)
     print(f"wrote {args.output}")
     return 0
 
@@ -1125,11 +1112,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-campaign", action="store_true",
         help="skip the campaign-throughput (trials/min) measurement",
     )
-    p.add_argument(
-        "--batch-replicates", type=int, default=0, metavar="N",
-        help="also measure batched-vs-sequential replicate throughput "
-        "at width N (paired best-of-rounds on pcaps; 0 = skip)",
-    )
     p.add_argument("--quiet", action="store_true")
     _add_obs_args(p)
     p.set_defaults(func=_cmd_perf)
@@ -1159,15 +1141,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if with_exec:
             c.add_argument(
-                "--workers", type=int, default=None,
+                "--workers", type=_non_negative_int, default=None,
                 help="process-pool size (default: CPU count; 0/1 = inline)",
-            )
-            c.add_argument(
-                "--batch-replicates", type=int, default=1, metavar="N",
-                help="advance up to N replicate trials (same config, "
-                "different seed/trace offset) together through one "
-                "batched stepper per pool task; records stay "
-                "per-replicate and bit-identical (default: 1 = off)",
             )
             c.add_argument(
                 "--quiet", action="store_true", help="suppress per-trial lines"
@@ -1307,7 +1282,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("name", help="geo campaign preset (geo-smoke, geo-sweep, ...)")
     g.add_argument("--store", default=DEFAULT_CAMPAIGN_STORE)
     g.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_non_negative_int, default=None,
         help="process-pool size (default: CPU count; 0/1 = inline)",
     )
     g.add_argument("--quiet", action="store_true")
@@ -1366,7 +1341,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     d.add_argument("--store", default=DEFAULT_CAMPAIGN_STORE)
     d.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_non_negative_int, default=None,
         help="process-pool size (default: CPU count; 0/1 = inline)",
     )
     d.add_argument("--quiet", action="store_true")
@@ -1473,7 +1448,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--store", default=DEFAULT_CAMPAIGN_STORE)
     s.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_non_negative_int, default=None,
         help="process-pool size (default: CPU count; 0/1 = inline)",
     )
     s.add_argument("--quiet", action="store_true")

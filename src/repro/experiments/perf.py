@@ -256,77 +256,6 @@ def measure_campaign_throughput(
     }
 
 
-#: The aspirational batched-replicate speedup from the roadmap's "batched
-#: multi-seed trials" line, recorded alongside every measurement so the
-#: gap stays visible. At replicate width 8 the measured ratio on CPython
-#: is ~1.0× — per-request Python glue (generator suspension, cache
-#: bookkeeping, per-block tails) dominates the numpy dispatch that
-#: stacking amortizes; see docs/batching.md for the width curve — so the
-#: enforced benchmark gate is a *no-regression floor*, not this target.
-BATCHED_SPEEDUP_TARGET = 1.5
-
-
-def measure_batched_speedup(
-    scheduler: str = "pcaps",
-    num_jobs: int = 200,
-    replicates: int = 8,
-    rounds: int = 3,
-    num_executors: int = 50,
-) -> dict:
-    """Paired sequential-vs-batched replicate timing, best-of-``rounds``.
-
-    Runs the same ``replicates``-seed batch both ways, alternating
-    sequential and batched *within* every round, and takes each side's
-    best across rounds. The pairing matters: on shared/virtualized
-    hardware consecutive identical runs vary by tens of percent, so only
-    an interleaved best-of-N ratio measured in one process is meaningful
-    — two separate one-shot timings mostly measure machine weather.
-    """
-    from dataclasses import replace
-
-    from repro.batch import run_batched
-
-    base = PerfScenario(
-        name=f"{scheduler}-{num_jobs}",
-        scheduler=scheduler,
-        num_jobs=num_jobs,
-        num_executors=num_executors,
-    ).config()
-    configs = [replace(base, seed=seed) for seed in range(replicates)]
-    sequential_walls, batched_walls = [], []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        for config in configs:
-            run_experiment(config)
-        sequential_walls.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_batched(configs)
-        batched_walls.append(time.perf_counter() - t0)
-    sequential_s = min(sequential_walls)
-    batched_s = min(batched_walls)
-    return {
-        "scenario": f"{scheduler}-{num_jobs}x{replicates}",
-        "scheduler": scheduler,
-        "num_jobs": num_jobs,
-        "replicates": replicates,
-        "rounds": rounds,
-        "sequential_s": round(sequential_s, 3),
-        "batched_s": round(batched_s, 3),
-        "speedup": (
-            round(sequential_s / batched_s, 3) if batched_s > 0 else 0.0
-        ),
-        "sequential_trials_per_min": (
-            round(replicates / sequential_s * 60.0, 2)
-            if sequential_s > 0
-            else 0.0
-        ),
-        "batched_trials_per_min": (
-            round(replicates / batched_s * 60.0, 2) if batched_s > 0 else 0.0
-        ),
-        "target_speedup": BATCHED_SPEEDUP_TARGET,
-    }
-
-
 def run_suite(
     scenarios: Iterable[PerfScenario], collect_cache_stats: bool = True
 ) -> list[PerfMeasurement]:
@@ -340,7 +269,6 @@ def write_report(
     measurements: Sequence[PerfMeasurement],
     path: str | Path,
     campaign_throughput: dict | None = None,
-    batched_replicates: dict | None = None,
 ) -> dict:
     """Serialize measurements (plus provenance) to ``path``; returns the doc."""
     doc = {
@@ -354,8 +282,6 @@ def write_report(
     }
     if campaign_throughput is not None:
         doc["campaign_throughput"] = campaign_throughput
-    if batched_replicates is not None:
-        doc["batched_replicates"] = batched_replicates
     atomic_write_text(Path(path), json.dumps(doc, indent=1) + "\n")
     return doc
 

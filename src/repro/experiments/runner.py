@@ -87,6 +87,12 @@ class ExperimentConfig:
             )
         if self.mode not in ("standalone", "kubernetes"):
             raise ValueError("mode must be 'standalone' or 'kubernetes'")
+        if self.num_executors < 1:
+            raise ValueError(
+                f"num_executors must be >= 1, got {self.num_executors}"
+            )
+        if self.per_job_cap is not None and self.per_job_cap < 1:
+            raise ValueError(f"per_job_cap must be >= 1, got {self.per_job_cap}")
 
     def with_scheduler(self, name: str) -> "ExperimentConfig":
         return replace(self, scheduler=name)

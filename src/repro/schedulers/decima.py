@@ -132,8 +132,8 @@ class DecimaScheduler(ProbabilisticPolicy):
         ).astype(float)
         return srpt + self.bottleneck_weight * frontier.bottleneck + locality
 
-    def _cached_raw_scores(self, frontier: FrontierArrays) -> np.ndarray | None:
-        """Score-cache probe for the sampling entry points.
+    def _raw_scores(self, view: ClusterView, frontier) -> np.ndarray:
+        """Score-cache interposer for the sampling entry points.
 
         Decima's scores are a pure function of the frontier matrix, so
         the same matrix object scores identically (cache hit by identity).
@@ -157,48 +157,13 @@ class DecimaScheduler(ProbabilisticPolicy):
                     denominator = max(float(remaining.max()), 1e-9)
                     if denominator == cached[2]:
                         return cached[1][frontier.filter_mask]
-        return None
-
-    def _store_raw_scores(self, frontier: FrontierArrays, raw: np.ndarray) -> None:
+        raw = self.scores_from_arrays(view, frontier)
         if frontier.parent_data is None:
             denominator = max(
                 float(frontier.remaining_work.max()), 1e-9
             ) if len(frontier) else 1e-9
-            self._score_cache = (frontier.data, raw, denominator)
-
-    def stack_key(self):
-        """Replicate policies with equal weights may score stacked."""
-        return (
-            DecimaScheduler,
-            self.srpt_weight,
-            self.bottleneck_weight,
-            self.locality_weight,
-        )
-
-    def scores_from_stacked(self, frontiers: list[FrontierArrays]) -> list[np.ndarray]:
-        """Score several frontiers in one concatenated array expression.
-
-        Bit-identical to per-frontier :meth:`scores_from_arrays` calls:
-        the per-frontier SRPT denominator is an exact per-block
-        ``np.maximum.reduceat`` (max never rounds) broadcast back with
-        ``np.repeat``, and every remaining operation is an elementwise,
-        correctly-rounded IEEE-754 ufunc whose result per element does not
-        depend on its neighbours — so each slice of the stacked result
-        equals the solo computation float for float.
-        """
-        lengths = np.array([len(f) for f in frontiers])
-        bounds = lengths.cumsum()
-        offsets = bounds - lengths
-        remaining = np.concatenate([f.remaining_work for f in frontiers])
-        denominators = np.repeat(
-            np.maximum(np.maximum.reduceat(remaining, offsets), 1e-9), lengths
-        )
-        srpt = self.srpt_weight * (1.0 - remaining / denominators)
-        in_use = np.concatenate([f.executors_in_use for f in frontiers])
-        locality = self.locality_weight * (in_use > 0).astype(float)
-        bottleneck = np.concatenate([f.bottleneck for f in frontiers])
-        raw = srpt + self.bottleneck_weight * bottleneck + locality
-        return [raw[a:b] for a, b in zip(offsets, bounds)]
+            self._score_cache = (data, raw, denominator)
+        return raw
 
     def parallelism_limit(self, view: ClusterView, choice: ReadyStage) -> int:
         """Split the cluster among active jobs (Decima's learned moderation).

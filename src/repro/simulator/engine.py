@@ -715,9 +715,7 @@ class SimulationStepper:
         A thin trampoline over :meth:`_step_gen`: score requests yielded
         by the scheduler's generator path are resolved inline through the
         identical ``_softmax(_raw_scores(...))`` calls the pre-generator
-        engine made, so a solo stepper's schedules stay byte-identical.
-        Batched drivers (:class:`repro.batch.BatchedStepper`) drive
-        ``_step_gen`` directly and resolve requests across replicates.
+        engine made, so a stepper's schedules stay byte-identical.
         """
         gen = self._step_gen()
         try:
@@ -876,10 +874,6 @@ class SimulationStepper:
                 break
             obs_select = self._obs_select
             if sim.measure_latency or obs_select is not None:
-                # Under a batched driver the elapsed time includes the
-                # rounds spent suspended on other replicates' requests;
-                # solo (trampoline) runs resolve inline, so the timing
-                # matches the pre-generator engine.
                 t0 = _wallclock.perf_counter()
                 choice = yield from sim.scheduler.select_gen(view)
                 elapsed = _wallclock.perf_counter() - t0

@@ -83,11 +83,6 @@ class ScoreRequest:
     floats (and therefore its RNG draws and its schedule fingerprint)
     are unchanged.
 
-    A batched driver (:class:`repro.batch.BatchedStepper`) instead
-    collects the concurrent requests of N independent replicates and
-    resolves them together, stacking the operations that are exactly
-    position-independent and probe-guarding the rest.
-
     Two kinds, matching the two sampling entry points:
 
     - ``"sample"`` (from :meth:`sample_with_importance_gen`): the reply
@@ -179,8 +174,7 @@ class StageScheduler(abc.ABC):
     def select_gen(self, view: ClusterView):
         """Generator twin of :meth:`select` (see :class:`ScoreRequest`).
 
-        The default never yields: schedulers without a vectorized scoring
-        path have nothing to batch, so the engine's ``yield from`` simply
+        The default never yields, so the engine's ``yield from`` simply
         returns the sync decision. Probabilistic policies override this
         with a generator that yields its score requests.
         """
@@ -249,51 +243,13 @@ class ProbabilisticPolicy(StageScheduler):
         """
         raise NotImplementedError
 
-    def _cached_raw_scores(self, frontier: FrontierArrays) -> np.ndarray | None:
-        """Previously computed raw scores for this frontier, or ``None``.
-
-        Subclasses with a score cache (see
-        :class:`~repro.schedulers.decima.DecimaScheduler`) override this
-        probe; the batched resolver consults it so cache hits take the
-        identical shortcut in batched and solo runs.
-        """
-        return None
-
-    def _store_raw_scores(self, frontier: FrontierArrays, raw: np.ndarray) -> None:
-        """Record freshly computed raw scores (cache-store twin of
-        :meth:`_cached_raw_scores`; default: no cache)."""
-
     def _raw_scores(
         self, view: ClusterView, frontier: FrontierArrays
     ) -> np.ndarray:
         """Hook between the sampling entry points and
-        :meth:`scores_from_arrays`, split into the cache probe / compute /
-        cache store steps the batched resolver replays individually."""
-        cached = self._cached_raw_scores(frontier)
-        if cached is not None:
-            return cached
-        raw = self.scores_from_arrays(view, frontier)
-        self._store_raw_scores(frontier, raw)
-        return raw
-
-    def stack_key(self):
-        """Grouping key for stacked scoring, or ``None`` if unsupported.
-
-        Requests whose policies return equal keys may be scored together
-        by one :meth:`scores_from_stacked` call; the key must therefore
-        capture every hyperparameter the score expression reads.
-        """
-        return None
-
-    def scores_from_stacked(self, frontiers: list[FrontierArrays]) -> list[np.ndarray]:
-        """Score several frontiers (equal :meth:`stack_key`) in one pass.
-
-        Only called by the batched resolver, and only when every frontier
-        comes from a policy with the same :meth:`stack_key`. Must return
-        per-frontier arrays bit-identical to calling
-        :meth:`scores_from_arrays` on each frontier alone.
-        """
-        raise NotImplementedError
+        :meth:`scores_from_arrays`; subclasses may interpose caching (see
+        :class:`~repro.schedulers.decima.DecimaScheduler`)."""
+        return self.scores_from_arrays(view, frontier)
 
     def parallelism_limit(self, view: ClusterView, choice: ReadyStage) -> int:
         """Parallelism limit for a chosen stage (default: all its tasks)."""
@@ -368,8 +324,7 @@ class ProbabilisticPolicy(StageScheduler):
 
         Yields one :class:`ScoreRequest` on a distribution-cache miss;
         cache hits (deferral streaks re-sampling an unchanged frontier)
-        never yield, so a batched driver sees exactly the requests a solo
-        run would compute.
+        never yield.
         """
         if self.vectorized:
             full = view.frontier_arrays(include_saturated=True)

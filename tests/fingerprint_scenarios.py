@@ -4,10 +4,9 @@ Single home of the seven pinned-seed scenarios (one per scheduler family)
 and of the SHA-256 fingerprint helpers every bit-identity suite pins
 against — ``test_fingerprints`` (engine contract), ``test_obs_fingerprints``
 (instrumentation neutrality), ``test_streaming_equivalence`` (streaming
-summaries), ``test_checkpoint`` (restore determinism), and ``test_batch``
-(batched replicate engine). Suites import from here instead of re-declaring
-the table, so a scenario added or adjusted once is exercised by every
-contract at once.
+summaries), and ``test_checkpoint`` (restore determinism). Suites import
+from here instead of re-declaring the table, so a scenario added or
+adjusted once is exercised by every contract at once.
 """
 
 from __future__ import annotations
@@ -77,8 +76,8 @@ def schedule_fingerprint(result) -> str:
     ``repr()`` of the floats preserves every bit, so two results share a
     fingerprint iff the engine made the identical decisions at the
     identical times — the bit-identity contract the stepper, the shared
-    ready cache, the batched replicate engine, and the disruption
-    machinery (with an empty schedule) all pin against
+    ready cache, and the disruption machinery (with an empty schedule)
+    all pin against
     ``Simulation.run()``.
     """
     digest = hashlib.sha256()

@@ -104,6 +104,11 @@ class TestCampaignSpec:
         assert scaled.base.num_executors == 12
         assert scaled.axes == tiny_spec().axes
 
+    @pytest.mark.parametrize("executors", [0, -1])
+    def test_scaled_rejects_nonpositive_executors(self, executors):
+        with pytest.raises(ValueError, match="num_executors must be >= 1"):
+            tiny_spec().scaled(num_executors=executors)
+
     def test_matchup_spec_preserves_order(self):
         spec = matchup_spec(["pcaps", "fifo"], tiny_config())
         assert [t.scheduler for t in spec.trials()] == ["pcaps", "fifo"]
@@ -305,6 +310,10 @@ class TestCampaignRunner:
         assert {r.key: r.metrics for r in pooled.records} == {
             r.key: r.metrics for r in inline.records
         }
+
+    def test_negative_workers_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="workers"):
+            CampaignRunner(ResultStore(tmp_path / "r.jsonl"), workers=-1)
 
     def test_collect_reads_store_only(self, tmp_path):
         runner = CampaignRunner(ResultStore(tmp_path / "r.jsonl"), workers=0)

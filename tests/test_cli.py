@@ -121,6 +121,34 @@ class TestCampaignCommands:
         assert main(["campaign", "resume", "smoke", "--store", store]) == 2
         assert "nothing to resume" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("executors", ["0", "-1"])
+    def test_campaign_run_rejects_nonpositive_executors(
+        self, tmp_path, capsys, executors
+    ):
+        store = tmp_path / "never-written.jsonl"
+        argv = ["campaign", "run", "demo", "--store", str(store)]
+        assert main(argv + ["--executors", executors, "--workers", "0"]) == 2
+        assert "num_executors must be >= 1" in capsys.readouterr().err
+        assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "run", "demo"],
+            ["campaign", "resume", "demo"],
+            ["geo", "sweep", "geo-smoke"],
+            ["disrupt", "sweep"],
+            ["stream", "sweep", "stream-smoke"],
+        ],
+        ids=" ".join,
+    )
+    def test_negative_workers_rejected(self, capsys, argv):
+        assert build_parser().parse_args(argv + ["--workers", "0"]).workers == 0
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--workers", "-1"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
     def test_campaign_run_rerun_and_report(self, tmp_path, capsys):
         store = str(tmp_path / "smoke.jsonl")
         base = ["campaign", "run", "smoke", "--store", store, "--workers", "0"]

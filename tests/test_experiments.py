@@ -65,6 +65,14 @@ class TestRunner:
         with pytest.raises(ValueError):
             ExperimentConfig(mode="cloud")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_executors", 0), ("num_executors", -1), ("per_job_cap", 0)],
+    )
+    def test_config_rejects_nonpositive_cluster(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            ExperimentConfig(**{field: value})
+
     @pytest.mark.parametrize("name", SCHEDULER_NAMES)
     def test_every_scheduler_builds_and_runs(self, name):
         config = small_config(scheduler=name)

@@ -15,9 +15,8 @@ line metric with nothing but the standard library:
 
 Expect parity with coverage.py within a couple of percent; that margin
 is why the CI ``--cov-fail-under`` floor sits below the measured number
-(the floor-raise workflow is documented in docs/batching.md's sibling,
-docs/benchmarks.md — raise the floor only from a number this script or
-CI actually reported).
+(the floor-raise workflow is documented in docs/benchmarks.md — raise
+the floor only from a number this script or CI actually reported).
 
 Usage::
 
