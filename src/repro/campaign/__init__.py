@@ -6,14 +6,18 @@ times and Figs. 7–19 are parameter sweeps. This package turns those sweeps
 into declarative, resumable, cached campaigns:
 
 - :mod:`repro.campaign.spec` — :class:`CampaignSpec` expands cartesian grids
-  over :class:`~repro.experiments.runner.ExperimentConfig` fields into
-  concrete trial lists, with named presets for the paper's campaigns;
+  over the fields of one trial kind's config into concrete trial lists,
+  with named presets for the paper's campaigns;
 - :mod:`repro.campaign.cache` — content-addressed trial keys (config hash ×
   code version) so re-runs and overlapping sweeps skip completed trials;
 - :mod:`repro.campaign.store` — an append-only JSONL result store holding
   per-trial metric summaries;
-- :mod:`repro.campaign.executor` — a supervised process-pool runner with
-  failure isolation, progress callbacks, and resume-from-store;
+- :mod:`repro.campaign.executor` — the trial-kind table (single-cluster
+  experiments, geo federations, streaming service runs) and one
+  supervised process-pool runner for all of them, with failure
+  isolation, progress callbacks, and resume-from-store;
+- :mod:`repro.campaign.geo` / :mod:`repro.campaign.stream` — the
+  federation and stream kinds' presets, metrics and report tables;
 - :mod:`repro.campaign.supervise` — the resilience policy (per-trial
   timeouts, seeded-backoff retries, quarantine, mid-flight checkpoints)
   the executor enforces;
@@ -33,15 +37,7 @@ Quickstart::
 
 from repro.campaign.cache import CacheStats, trial_key
 from repro.campaign.executor import CampaignRun, CampaignRunner
-from repro.campaign.geo import (
-    GeoCampaignRun,
-    GeoCampaignSpec,
-    format_geo_report,
-    geo_campaign_report,
-    geo_presets,
-    geo_trial_key,
-    run_geo_campaign,
-)
+from repro.campaign.geo import format_geo_report, geo_campaign_report, geo_presets
 from repro.campaign.reports import campaign_report, format_campaign_report
 from repro.campaign.spec import CampaignSpec, campaign_presets, matchup_spec
 from repro.campaign.store import ResultStore, StoreCheck, TrialRecord
@@ -58,8 +54,6 @@ __all__ = [
     "CampaignRunner",
     "CampaignSpec",
     "CheckpointPolicy",
-    "GeoCampaignRun",
-    "GeoCampaignSpec",
     "ResultStore",
     "StoreCheck",
     "SupervisorConfig",
@@ -70,8 +64,6 @@ __all__ = [
     "format_geo_report",
     "geo_campaign_report",
     "geo_presets",
-    "geo_trial_key",
     "matchup_spec",
-    "run_geo_campaign",
     "trial_key",
 ]

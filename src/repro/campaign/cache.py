@@ -23,8 +23,7 @@ from typing import Any
 
 import repro
 from repro import __version__
-from repro.campaign.spec import config_to_dict
-from repro.experiments.runner import ExperimentConfig
+from repro.campaign.spec import plain
 
 #: Length of the hex digest prefix used as the key; 16 hex chars = 64 bits,
 #: far beyond collision range for any realistic campaign size.
@@ -53,14 +52,28 @@ def code_fingerprint() -> str:
     return f"{__version__}+{digest.hexdigest()[:12]}"
 
 
-def trial_key(config: ExperimentConfig, code_version: str | None = None) -> str:
-    """Content-addressed identity of one trial."""
+def trial_key(config: Any, code_version: str | None = None) -> str:
+    """Content-addressed identity of one trial of any kind.
+
+    Hashes the code version and the :func:`~repro.campaign.spec.plain`
+    config minus the kind's ``key_excluded`` fields, under the kind's
+    ``key_tag`` (experiment keys carry no ``kind``, federation keys
+    ``"federation"``, stream keys ``"stream"``).
+    """
+    from repro.campaign.executor import kind_of
+
+    kind = kind_of(config)
+    config_dict = plain(config)
+    for field_name in kind.key_excluded:
+        config_dict.pop(field_name, None)
     payload = {
         "code_version": (
             code_version if code_version is not None else code_fingerprint()
         ),
-        "config": config_to_dict(config),
+        "config": config_dict,
     }
+    if kind.key_tag is not None:
+        payload["kind"] = kind.key_tag
     digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
     return digest.hexdigest()[:KEY_LENGTH]
 

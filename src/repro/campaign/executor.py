@@ -1,5 +1,11 @@
 """Campaign execution: supervised process-pool fan-out with caching/resume.
 
+One :class:`CampaignRunner` serves every trial kind. The kinds —
+single-cluster experiments, geo federations, and streaming service runs —
+are entries of one table (:func:`trial_kind`): each names its config type,
+key tag, execution and metrics functions and progress label, and the
+runner, pool worker, store and cache treat every kind alike.
+
 The runner expands a spec into trials, drops every trial whose key already
 has a successful record in the store (the cache hit path), and fans the rest
 across a :class:`~concurrent.futures.ProcessPoolExecutor`. Each worker runs
@@ -27,6 +33,7 @@ what makes the content-addressed cache sound.
 
 from __future__ import annotations
 
+import importlib
 import os
 import signal
 import threading
@@ -47,7 +54,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro import faults
 from repro.campaign.cache import CacheStats, trial_key
-from repro.campaign.spec import CampaignSpec, config_from_dict, config_to_dict
+from repro.campaign.spec import POLICY_FIELDS, CampaignSpec, from_plain, plain
 from repro.campaign.store import (
     STATUS_ERROR,
     STATUS_OK,
@@ -106,8 +113,8 @@ def capture_trial_record(
     """Run one trial through the shared failure-isolation scaffold.
 
     The single place timing, ``ok``/``error`` status, and traceback capture
-    live; both scheduler trials (here) and federation trials
-    (:mod:`repro.campaign.geo`) funnel through it.
+    live; trials of every kind (experiment, federation, stream) funnel
+    through it from :func:`run_trial_to_record`.
     """
     start = time.perf_counter()
     try:
@@ -176,31 +183,92 @@ def execute_trial_checkpointed(
     return result
 
 
+def _execute_experiment(
+    key: str,
+    config: ExperimentConfig,
+    attempt: int,
+    checkpoint: CheckpointPolicy | None,
+) -> ExperimentResult:
+    if checkpoint is not None:
+        return execute_trial_checkpointed(key, config, checkpoint, attempt=attempt)
+    return execute_trial(config)
+
+
+@dataclass(frozen=True)
+class TrialKind:
+    """What the campaign layer needs to know about one kind of trial.
+
+    ``key_tag`` is added to the trial-key payload as ``kind`` (experiment
+    keys carry none) and ``key_excluded`` names top-level config fields
+    left out of the key. ``baseline_field`` is the config field a spec's
+    ``baseline`` sets (``None``: the kind takes no baseline), and
+    ``policy_fields`` are the axes baseline replicates do not vary.
+    ``execute(key, config, attempt, checkpoint)`` runs one trial; only
+    experiments use the checkpoint policy.
+    """
+
+    name: str
+    config_type: type
+    execute: Callable[[str, Any, int, CheckpointPolicy | None], Any]
+    metrics: Callable[[Any], dict]
+    label: Callable[[Any], str]
+    key_tag: str | None = None
+    key_excluded: tuple[str, ...] = ()
+    baseline_field: str | None = None
+    policy_fields: tuple[str, ...] = ()
+
+
+TRIAL_KIND = TrialKind(
+    name="experiment",
+    config_type=ExperimentConfig,
+    execute=_execute_experiment,
+    metrics=result_metrics,
+    label=trial_label,
+    baseline_field="scheduler",
+    policy_fields=POLICY_FIELDS,
+)
+
+#: Trial kind -> module defining it as ``TRIAL_KIND``. The geo and stream
+#: modules import this one, so their entries are looked up on first use;
+#: the stream stack loads only when a stream trial needs it.
+_KIND_MODULES = {
+    "experiment": __name__,
+    "federation": "repro.campaign.geo",
+    "stream": "repro.campaign.stream",
+}
+
+
+def trial_kind(name: str) -> TrialKind:
+    """The trial kind called ``name``."""
+    return importlib.import_module(_KIND_MODULES[name]).TRIAL_KIND
+
+
+def kind_of(config: Any) -> TrialKind:
+    """The trial kind whose configs are ``config``'s type."""
+    for name in _KIND_MODULES:
+        kind = trial_kind(name)
+        if isinstance(config, kind.config_type):
+            return kind
+    raise TypeError(f"no campaign trial kind runs {type(config).__name__}")
+
+
 def run_trial_to_record(
     key: str,
     campaign: str,
-    config: ExperimentConfig,
+    config: Any,
     attempt: int = 1,
     checkpoint: CheckpointPolicy | None = None,
 ) -> TrialRecord:
-    """Execute one trial, capturing failure as an ``error`` record."""
+    """Execute one trial of any kind, capturing failure as an ``error``
+    record."""
+    kind = kind_of(config)
 
-    def execute() -> ExperimentResult:
+    def execute() -> Any:
         # No-op unless a fault plan is active (tests, ``repro faults demo``).
         faults.maybe_inject_worker(key, attempt)
-        if checkpoint is not None:
-            return execute_trial_checkpointed(
-                key, config, checkpoint, attempt=attempt
-            )
-        return execute_trial(config)
+        return kind.execute(key, config, attempt, checkpoint)
 
-    return capture_trial_record(
-        key,
-        campaign,
-        config_to_dict(config),
-        execute,
-        result_metrics,
-    )
+    return capture_trial_record(key, campaign, plain(config), execute, kind.metrics)
 
 
 def _pool_worker_init() -> None:
@@ -218,18 +286,18 @@ def _pool_worker_init() -> None:
 
 
 def _pool_worker(
-    payload: tuple[str, str, dict],
+    payload: tuple[str, str, str, dict],
     attempt: int = 1,
     checkpoint: CheckpointPolicy | None = None,
 ) -> TrialRecord:
-    """Top-level (picklable) worker: rebuild the config, run, summarize."""
-    key, campaign, config_dict = payload
+    """Top-level (picklable) worker: rebuild the config, run, summarize.
+
+    ``payload`` is ``(kind name, key, campaign, plain config)``.
+    """
+    kind_name, key, campaign, config_dict = payload
+    config = from_plain(trial_kind(kind_name).config_type, config_dict)
     return run_trial_to_record(
-        key,
-        campaign,
-        config_from_dict(config_dict),
-        attempt=attempt,
-        checkpoint=checkpoint,
+        key, campaign, config, attempt=attempt, checkpoint=checkpoint
     )
 
 
@@ -263,13 +331,8 @@ class CampaignRun:
 
 
 class CampaignRunner:
-    """Runs campaigns against one store, with a process pool and caching.
-
-    The resume/record/progress loop is config-type agnostic: subclasses
-    (e.g. the federation campaigns in :mod:`repro.campaign.geo`) override
-    the ``trial_key_for`` / ``run_record`` / ``payload_for`` / ``label_for``
-    hooks and the picklable ``worker`` entry point to sweep a different
-    config type through the identical store, cache, and pool machinery.
+    """Runs campaigns of any trial kind against one store, with a process
+    pool and caching.
 
     Parameters
     ----------
@@ -295,10 +358,6 @@ class CampaignRunner:
         exporter's lifecycle (``close``).
     """
 
-    #: Top-level (picklable) pool entry point taking
-    #: ``(payload, attempt, checkpoint_policy)``.
-    worker = staticmethod(_pool_worker)
-
     def __init__(
         self,
         store: ResultStore,
@@ -322,40 +381,11 @@ class CampaignRunner:
         store, then :class:`CampaignInterrupted` propagates."""
         self._stop.set()
 
-    # -- config-type hooks (overridden by e.g. GeoCampaignRunner) --------
-    def trial_key_for(self, config) -> str:
-        return trial_key(config, self.code_version)
-
-    def run_record(
-        self, key: str, campaign: str, config, attempt: int = 1
-    ) -> TrialRecord:
-        """Execute one trial inline, capturing failure as an error record."""
-        return run_trial_to_record(
-            key,
-            campaign,
-            config,
-            attempt=attempt,
-            checkpoint=self.supervisor.checkpoint_policy(),
-        )
-
-    def payload_for(self, key: str, campaign: str, config) -> tuple:
-        """The picklable payload handed to :attr:`worker`."""
-        return (key, campaign, config_to_dict(config))
-
-    def label_for(self, record: TrialRecord) -> str:
-        return trial_label(config_from_dict(record.config))
-
-    # ------------------------------------------------------------------
-    def keyed_trials(self, spec) -> list[tuple[str, Any]]:
-        """(key, config) per trial, deduplicated, in campaign order.
-
-        Config values are whatever type the spec expands to —
-        :class:`ExperimentConfig` here, ``FederationConfig`` under
-        :class:`~repro.campaign.geo.GeoCampaignRunner`.
-        """
+    def keyed_trials(self, spec: CampaignSpec) -> list[tuple[str, Any]]:
+        """(key, config) per trial, deduplicated, in campaign order."""
         seen: dict[str, Any] = {}
         for config in spec.trials():
-            seen.setdefault(self.trial_key_for(config), config)
+            seen.setdefault(trial_key(config, self.code_version), config)
         return list(seen.items())
 
     def collect(self, spec: CampaignSpec) -> list[TrialRecord]:
@@ -392,10 +422,12 @@ class CampaignRunner:
         observer = _current_observer()
         span_start = observer.tracer.now_us() if observer is not None else 0.0
         keyed = self.keyed_trials(spec)
+        configs = dict(keyed)
+        label = spec.kind.label
         completed = self.store.completed() if resume else {}
 
         records: dict[str, TrialRecord] = {}
-        pending: list[tuple[str, ExperimentConfig]] = []
+        pending: list[tuple[str, Any]] = []
         for key, config in keyed:
             if key in completed:
                 records[key] = completed[key]
@@ -428,9 +460,7 @@ class CampaignRunner:
         for key in records:
             done += 1
             if on_progress is not None:
-                on_progress(
-                    done, total, f"cached {self.label_for(records[key])}"
-                )
+                on_progress(done, total, f"cached {label(configs[key])}")
 
         def finish(record: TrialRecord) -> None:
             nonlocal done
@@ -440,7 +470,7 @@ class CampaignRunner:
             if tracer is not None:
                 dur_us = record.duration_s * 1e6
                 tracer.complete(
-                    f"trial {self.label_for(record)}",
+                    f"trial {label(configs[record.key])}",
                     start_us=max(0.0, tracer.now_us() - dur_us),
                     dur_us=dur_us,
                     cat="campaign",
@@ -455,8 +485,11 @@ class CampaignRunner:
                 )
             if on_progress is not None:
                 verb = "ok   " if record.ok else "FAIL "
-                label = self.label_for(record)
-                on_progress(done, total, f"{verb}{label} ({record.duration_s:.2f}s)")
+                on_progress(
+                    done,
+                    total,
+                    f"{verb}{label(configs[record.key])} ({record.duration_s:.2f}s)",
+                )
 
         workers = self._effective_workers(len(pending))
         self._stop.clear()
@@ -544,7 +577,7 @@ class CampaignRunner:
         return TrialRecord(
             key=state.key,
             campaign=campaign,
-            config=self.payload_for(state.key, campaign, state.config)[2],
+            config=plain(state.config),
             status=STATUS_ERROR,
             error=state.errors[-1] if state.errors else "quarantined",
             attempts=state.attempt,
@@ -560,6 +593,7 @@ class CampaignRunner:
         """No-pool path: retries and quarantine apply, timeouts cannot (a
         hung trial would hang this very process)."""
         sup = self.supervisor
+        checkpoint = sup.checkpoint_policy()
         for index, (key, config) in enumerate(pending):
             if self._stop.is_set():
                 raise CampaignInterrupted(
@@ -569,8 +603,8 @@ class CampaignRunner:
             record = None
             while state.attempt < sup.max_attempts:
                 state.attempt += 1
-                record = self.run_record(
-                    key, campaign, config, attempt=state.attempt
+                record = run_trial_to_record(
+                    key, campaign, config, attempt=state.attempt, checkpoint=checkpoint
                 )
                 if record.ok:
                     break
@@ -604,8 +638,9 @@ class CampaignRunner:
 
         def submit(state: _TrialState) -> None:
             state.attempt += 1
-            payload = self.payload_for(state.key, campaign, state.config)
-            future = pool.submit(self.worker, payload, state.attempt, checkpoint)
+            kind_name = kind_of(state.config).name
+            payload = (kind_name, state.key, campaign, plain(state.config))
+            future = pool.submit(_pool_worker, payload, state.attempt, checkpoint)
             deadline = (
                 time.monotonic() + sup.trial_timeout_s
                 if sup.trial_timeout_s is not None

@@ -1,102 +1,33 @@
 """Geo campaigns: cartesian sweeps over federation-config fields.
 
-The federation analogue of :mod:`repro.campaign.spec` +
-:mod:`repro.campaign.executor`: a :class:`GeoCampaignSpec` is a base
-:class:`~repro.geo.config.FederationConfig` plus axes, trials are keyed by
-the same content-addressed scheme (config hash × code fingerprint) into the
-same append-only :class:`~repro.campaign.store.ResultStore`, and re-runs
-skip completed trials. Axis names may be dotted: ``workload.*`` reaches the
-shared :class:`~repro.workloads.batch.WorkloadSpec`, ``transfer.*`` the
+The federation trial kind of :mod:`repro.campaign.executor`: a
+:class:`~repro.campaign.spec.CampaignSpec` whose base is a
+:class:`~repro.geo.config.FederationConfig` sweeps federation trials,
+keyed (under ``kind: "federation"``) into the same append-only
+:class:`~repro.campaign.store.ResultStore` and run by the same
+:class:`~repro.campaign.executor.CampaignRunner`. Axis names may be
+dotted: ``workload.*`` reaches the shared
+:class:`~repro.workloads.batch.WorkloadSpec`, ``transfer.*`` the
 :class:`~repro.geo.config.TransferModel`, and ``regions.*`` applies one
 override to *every* member region (e.g. ``regions.scheduler`` sweeps the
-intra-cluster scheduler federation-wide).
+intra-cluster scheduler federation-wide). The ``baseline`` is a routing
+policy.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import itertools
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any
 
 import numpy as np
 
-from repro import faults
-from repro.campaign.cache import KEY_LENGTH, canonical_json, code_fingerprint
-from repro.campaign.executor import (
-    CampaignRun,
-    CampaignRunner,
-    capture_trial_record,
-)
-from repro.campaign.store import ResultStore, TrialRecord
-from repro.disrupt.schedule import DisruptionEvent, DisruptionSchedule
-from repro.geo.config import FederationConfig, RegionConfig, TransferModel
+from repro.campaign.executor import CampaignRunner, TrialKind
+from repro.campaign.spec import CampaignSpec
+from repro.campaign.store import TrialRecord
+from repro.disrupt.schedule import DisruptionSchedule
+from repro.geo.config import FederationConfig, RegionConfig
 from repro.geo.federation import run_federation
 from repro.geo.result import FederationResult
-from repro.workloads.alibaba import AlibabaWorkloadModel
 from repro.workloads.batch import WorkloadSpec
-
-Axes = Mapping[str, Iterable[Any]] | Iterable[tuple[str, Iterable[Any]]]
-
-#: ``on_progress(completed, total, line)`` — mirrors the campaign executor.
-ProgressCallback = Callable[[int, int, str], None]
-
-
-# ----------------------------------------------------------------------
-# Serialization (store records, trial keys)
-# ----------------------------------------------------------------------
-def federation_to_dict(config: FederationConfig) -> dict[str, Any]:
-    """Serialize a federation config (all nesting) to plain JSON types."""
-    raw = dataclasses.asdict(config)
-
-    def _plain(obj: Any) -> Any:
-        if isinstance(obj, dict):
-            return {k: _plain(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [_plain(v) for v in obj]
-        return obj
-
-    return _plain(raw)
-
-
-def federation_from_dict(data: Mapping[str, Any]) -> FederationConfig:
-    """Rebuild a :class:`FederationConfig` from :func:`federation_to_dict`."""
-    params = dict(data)
-    params["regions"] = tuple(
-        RegionConfig(**region) for region in params.get("regions", ())
-    )
-    workload = dict(params.get("workload", {}))
-    if isinstance(workload.get("alibaba_model"), Mapping):
-        workload["alibaba_model"] = AlibabaWorkloadModel(**workload["alibaba_model"])
-    if "tpch_scales" in workload:
-        workload["tpch_scales"] = tuple(workload["tpch_scales"])
-    params["workload"] = WorkloadSpec(**workload)
-    if isinstance(params.get("transfer"), Mapping):
-        params["transfer"] = TransferModel(**params["transfer"])
-    if isinstance(params.get("disruptions"), Mapping):
-        params["disruptions"] = DisruptionSchedule(
-            events=tuple(
-                DisruptionEvent(**event)
-                for event in params["disruptions"].get("events", ())
-            )
-        )
-    return FederationConfig(**params)
-
-
-def geo_trial_key(
-    config: FederationConfig, code_version: str | None = None
-) -> str:
-    """Content-addressed identity of one federation trial."""
-    payload = {
-        "code_version": (
-            code_version if code_version is not None else code_fingerprint()
-        ),
-        "kind": "federation",
-        "config": federation_to_dict(config),
-    }
-    digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
-    return digest.hexdigest()[:KEY_LENGTH]
 
 
 def federation_metrics(result: FederationResult) -> dict[str, Any]:
@@ -117,95 +48,44 @@ def federation_metrics(result: FederationResult) -> dict[str, Any]:
     }
 
 
-# ----------------------------------------------------------------------
-# Spec + axes
-# ----------------------------------------------------------------------
-def apply_geo_axis(
-    config: FederationConfig, field_name: str, value: Any
-) -> FederationConfig:
-    """Return ``config`` with one (possibly dotted) field replaced."""
-    if field_name.startswith("workload."):
-        sub = field_name.split(".", 1)[1]
-        return replace(config, workload=replace(config.workload, **{sub: value}))
-    if field_name.startswith("transfer."):
-        sub = field_name.split(".", 1)[1]
-        return replace(config, transfer=replace(config.transfer, **{sub: value}))
-    if field_name.startswith("regions."):
-        sub = field_name.split(".", 1)[1]
-        return replace(
-            config,
-            regions=tuple(replace(r, **{sub: value}) for r in config.regions),
+def geo_trial_label(config: FederationConfig) -> str:
+    label = (
+        f"{config.routing} regions={len(config.regions)} "
+        f"seed={config.seed}"
+    )
+    if config.disruptions is not None:
+        label += (
+            f" disrupted×{len(config.disruptions)}"
+            f" failover={'on' if config.failover else 'off'}"
         )
-    return replace(config, **{field_name: value})
+    return label
 
 
-@dataclass(frozen=True)
-class GeoCampaignSpec:
-    """A named cartesian sweep over federation-config fields.
-
-    The ``baseline`` routing is guaranteed a trial per replicate combination
-    (every axis except ``routing``), so normalized geo reports can always be
-    computed from the store — mirroring :class:`CampaignSpec`'s contract.
-    """
-
-    name: str
-    base: FederationConfig
-    axes: tuple[tuple[str, tuple[Any, ...]], ...]
-    baseline: str = "round-robin"
-    description: str = ""
-
-    def __init__(
-        self,
-        name: str,
-        base: FederationConfig,
-        axes: Axes,
-        baseline: str = "round-robin",
-        description: str = "",
-    ) -> None:
-        pairs = axes.items() if isinstance(axes, Mapping) else axes
-        normalized = tuple((str(k), tuple(v)) for k, v in pairs)
-        for field_name, values in normalized:
-            if not values:
-                raise ValueError(f"axis {field_name!r} has no values")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "axes", normalized)
-        object.__setattr__(self, "baseline", baseline)
-        object.__setattr__(self, "description", description)
-
-    def axis_summary(self) -> str:
-        return " · ".join(f"{name}×{len(values)}" for name, values in self.axes)
-
-    def trials(self) -> list[FederationConfig]:
-        """Expand the spec into concrete, deduplicated trial configs."""
-        product_trials = []
-        names = [name for name, _ in self.axes]
-        for combo in itertools.product(*(values for _, values in self.axes)):
-            config = self.base
-            for field_name, value in zip(names, combo):
-                config = apply_geo_axis(config, field_name, value)
-            product_trials.append(config)
-
-        configs: list[FederationConfig] = []
-        if not any(c.routing == self.baseline for c in product_trials):
-            replicate_axes = [
-                (name, values)
-                for name, values in self.axes
-                if name != "routing"
-            ]
-            rep_names = [name for name, _ in replicate_axes]
-            for combo in itertools.product(
-                *(values for _, values in replicate_axes)
-            ):
-                config = self.base
-                for field_name, value in zip(rep_names, combo):
-                    config = apply_geo_axis(config, field_name, value)
-                configs.append(config.with_routing(self.baseline))
-        configs.extend(product_trials)
-        return list(dict.fromkeys(configs))
+def _execute(
+    key: str, config: FederationConfig, attempt: int, checkpoint
+) -> FederationResult:
+    # Federation trials compose many steppers and do not checkpoint
+    # mid-flight, so the supervisor's checkpoint policy is ignored.
+    return run_federation(config)
 
 
-def geo_presets() -> dict[str, GeoCampaignSpec]:
+TRIAL_KIND = TrialKind(
+    name="federation",
+    config_type=FederationConfig,
+    execute=_execute,
+    metrics=federation_metrics,
+    label=geo_trial_label,
+    key_tag="federation",
+    baseline_field="routing",
+    policy_fields=("routing",),
+)
+
+#: The one runner serves federation campaigns too; the name stays for
+#: callers that import it from here.
+GeoCampaignRunner = CampaignRunner
+
+
+def geo_presets() -> dict[str, CampaignSpec]:
     """Named geo campaign specs (laptop scale)."""
     tiny = WorkloadSpec(family="tpch", num_jobs=6, mean_interarrival=10.0,
                         tpch_scales=(2,))
@@ -213,7 +93,7 @@ def geo_presets() -> dict[str, GeoCampaignSpec]:
         family="tpch", num_jobs=24, mean_interarrival=20.0, tpch_scales=(2, 10)
     )
     specs = [
-        GeoCampaignSpec(
+        CampaignSpec(
             "geo-smoke",
             FederationConfig(
                 regions=(
@@ -225,9 +105,10 @@ def geo_presets() -> dict[str, GeoCampaignSpec]:
                 workload=tiny,
             ),
             axes={"routing": ("round-robin", "carbon-forecast")},
+            baseline="round-robin",
             description="2-trial federation sanity campaign (tests, CI)",
         ),
-        GeoCampaignSpec(
+        CampaignSpec(
             "geo-sweep",
             FederationConfig.six_grid(
                 scheduler="pcaps", num_executors=10, workload=sweep_workload
@@ -241,9 +122,10 @@ def geo_presets() -> dict[str, GeoCampaignSpec]:
                 ),
                 "seed": (0, 1, 2),
             },
+            baseline="round-robin",
             description="six-grid federation: 4 routing policies × 3 seeds",
         ),
-        GeoCampaignSpec(
+        CampaignSpec(
             "disrupt-sweep",
             FederationConfig(
                 regions=(
@@ -277,129 +159,23 @@ def geo_presets() -> dict[str, GeoCampaignSpec]:
                 "failover": (True, False),
                 "seed": (0, 1),
             },
+            baseline="round-robin",
             description="outage/curtailment/blackout resilience: "
             "failover on vs off, per routing policy",
         ),
-        GeoCampaignSpec(
+        CampaignSpec(
             "geo-schedulers",
             FederationConfig.six_grid(num_executors=10, workload=sweep_workload),
             axes={
                 "routing": ("round-robin", "carbon-forecast"),
                 "regions.scheduler": ("fifo", "decima", "pcaps"),
             },
+            baseline="round-robin",
             description="does intra-cluster carbon-awareness still pay "
             "under spatial routing?",
         ),
     ]
     return {spec.name: spec for spec in specs}
-
-
-# ----------------------------------------------------------------------
-# Execution against the shared result store
-# ----------------------------------------------------------------------
-def geo_trial_label(config: FederationConfig) -> str:
-    label = (
-        f"{config.routing} regions={len(config.regions)} "
-        f"seed={config.seed}"
-    )
-    if config.disruptions is not None:
-        label += (
-            f" disrupted×{len(config.disruptions)}"
-            f" failover={'on' if config.failover else 'off'}"
-        )
-    return label
-
-
-def run_geo_trial_to_record(
-    key: str, campaign: str, config: FederationConfig, attempt: int = 1
-) -> TrialRecord:
-    """Execute one federation trial, capturing failure as an error record."""
-
-    def execute():
-        # No-op unless a fault plan is active — geo trials share the
-        # scheduler trials' chaos-testing surface.
-        faults.maybe_inject_worker(key, attempt)
-        return run_federation(config)
-
-    return capture_trial_record(
-        key,
-        campaign,
-        federation_to_dict(config),
-        execute,
-        federation_metrics,
-    )
-
-
-def _geo_pool_worker(
-    payload: tuple[str, str, dict], attempt: int = 1, checkpoint=None
-) -> TrialRecord:
-    """Top-level (picklable) worker: rebuild the config, run, summarize.
-
-    ``checkpoint`` is accepted for supervisor-loop signature compatibility
-    and ignored: federation trials compose many steppers and do not
-    checkpoint mid-flight (their inner engines could, but the composition
-    state lives here, not in any single stepper).
-    """
-    key, campaign, config_dict = payload
-    return run_geo_trial_to_record(
-        key, campaign, federation_from_dict(config_dict), attempt=attempt
-    )
-
-
-class GeoCampaignRunner(CampaignRunner):
-    """:class:`CampaignRunner` sweeping :class:`FederationConfig` trials.
-
-    Inherits the whole resume/record/progress/pool loop; only the
-    config-type hooks differ, so geo campaigns share the scheduler
-    campaigns' store format, caching semantics, and process-pool fan-out.
-    """
-
-    worker = staticmethod(_geo_pool_worker)
-
-    def trial_key_for(self, config: FederationConfig) -> str:
-        return geo_trial_key(config, self.code_version)
-
-    def run_record(
-        self, key: str, campaign: str, config: FederationConfig, attempt: int = 1
-    ) -> TrialRecord:
-        return run_geo_trial_to_record(key, campaign, config, attempt=attempt)
-
-    def payload_for(
-        self, key: str, campaign: str, config: FederationConfig
-    ) -> tuple:
-        return (key, campaign, federation_to_dict(config))
-
-    def label_for(self, record: TrialRecord) -> str:
-        return geo_trial_label(federation_from_dict(record.config))
-
-
-#: A finished geo campaign — same shape as any campaign run.
-GeoCampaignRun = CampaignRun
-
-
-def keyed_geo_trials(
-    spec: GeoCampaignSpec, code_version: str | None = None
-) -> list[tuple[str, FederationConfig]]:
-    """(key, config) per trial, deduplicated, in campaign order."""
-    return GeoCampaignRunner(
-        store=None, code_version=code_version
-    ).keyed_trials(spec)
-
-
-def run_geo_campaign(
-    spec: GeoCampaignSpec,
-    store: ResultStore,
-    resume: bool = True,
-    on_progress: ProgressCallback | None = None,
-    workers: int | None = None,
-) -> CampaignRun:
-    """Execute every federation trial not already in the store.
-
-    Thin wrapper over :class:`GeoCampaignRunner` (``workers`` as in
-    :class:`CampaignRunner`: ``None`` = CPU count, ``0``/``1`` = inline).
-    """
-    runner = GeoCampaignRunner(store, workers=workers)
-    return runner.run(spec, resume=resume, on_progress=on_progress)
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,21 @@
 """Declarative campaign specifications.
 
-A :class:`CampaignSpec` is "a base :class:`ExperimentConfig` plus axes":
-each axis names a config field and the values to sweep, and the campaign is
-the cartesian product of all axes applied to the base. Axis names may be
-dotted (``workload.num_jobs``) to sweep nested :class:`WorkloadSpec` fields.
+A :class:`CampaignSpec` is "a base config plus axes": each axis names a
+config field and the values to sweep, and the campaign is the cartesian
+product of all axes applied to the base. The base may be any trial kind's
+config — an :class:`ExperimentConfig`, a
+:class:`~repro.geo.config.FederationConfig` or a
+:class:`~repro.stream.service.ServiceConfig` — and its type decides the
+kind (:func:`repro.campaign.executor.kind_of`). Axis names may be dotted
+(``workload.num_jobs``, ``stream.seed``) to reach nested config fields; a
+dotted name through a tuple of configs (``regions.scheduler``) applies the
+value to every element.
 
-If the spec names a ``baseline`` scheduler that no product trial covers, one
-baseline trial is prepended per replicate combination (every axis except the
-scheduler-policy fields), so normalized reports can be computed from the
-result store alone.
+If the spec names a ``baseline`` policy (a scheduler, or a routing policy
+for federation trials) that no product trial covers, one baseline trial is
+prepended per replicate combination (every axis except the kind's policy
+fields), so normalized reports can be computed from the result store
+alone.
 
 :func:`campaign_presets` provides named specs for the paper's Table 2/3 and
 Fig. 7–19 campaigns at laptop scale (Fig. 15 is a timeline comparison, not a
@@ -19,12 +26,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import typing
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Any, Iterable, Mapping
 
 from repro.carbon.grids import GRID_CODES
 from repro.experiments.runner import ExperimentConfig
-from repro.workloads.alibaba import AlibabaWorkloadModel
 from repro.workloads.batch import WorkloadSpec
 
 #: Config fields that define *which policy* runs rather than *what it runs
@@ -40,19 +48,29 @@ REPLICATE_FIELDS: tuple[str, ...] = ("seed", "trace_start_step")
 Axes = Mapping[str, Iterable[Any]] | Iterable[tuple[str, Iterable[Any]]]
 
 
-def apply_axis_value(
-    config: ExperimentConfig, field_name: str, value: Any
-) -> ExperimentConfig:
-    """Return ``config`` with one (possibly dotted) field replaced."""
-    if field_name.startswith("workload."):
-        sub = field_name.split(".", 1)[1]
-        return replace(config, workload=replace(config.workload, **{sub: value}))
-    return replace(config, **{field_name: value})
+def apply_axis(config: Any, field_name: str, value: Any) -> Any:
+    """Return ``config`` with one (possibly dotted) field replaced.
+
+    Each dotted step enters a nested config; a step onto a tuple of
+    configs (``regions.scheduler``) replaces the field in every element.
+    """
+    head, _, rest = field_name.partition(".")
+    if not rest:
+        return replace(config, **{head: value})
+    inner = getattr(config, head)
+    if isinstance(inner, tuple):
+        swept = tuple(apply_axis(item, rest, value) for item in inner)
+    else:
+        swept = apply_axis(inner, rest, value)
+    return replace(config, **{head: swept})
 
 
-def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
-    """Serialize a config (and its nested workload) to plain JSON types."""
-    raw = dataclasses.asdict(config)
+def plain(config: Any) -> dict[str, Any]:
+    """Serialize a config dataclass (all nesting) to plain JSON types.
+
+    The store records and trial keys of every trial kind use this form;
+    :func:`from_plain` inverts it.
+    """
 
     def _plain(obj: Any) -> Any:
         if isinstance(obj, dict):
@@ -61,43 +79,55 @@ def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
             return [_plain(v) for v in obj]
         return obj
 
-    return _plain(raw)
+    return _plain(dataclasses.asdict(config))
 
 
-def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
-    """Rebuild an :class:`ExperimentConfig` from :func:`config_to_dict`."""
-    params = dict(data)
-    workload = dict(params.get("workload", {}))
-    if isinstance(workload.get("alibaba_model"), Mapping):
-        workload["alibaba_model"] = AlibabaWorkloadModel(**workload["alibaba_model"])
-    if "tpch_scales" in workload:
-        workload["tpch_scales"] = tuple(workload["tpch_scales"])
-    params["workload"] = WorkloadSpec(**workload)
-    return ExperimentConfig(**params)
+@lru_cache(maxsize=None)
+def _field_types(cls: type) -> dict[str, Any]:
+    return typing.get_type_hints(cls)
+
+
+def from_plain(cls: type, data: Mapping[str, Any]) -> Any:
+    """Rebuild a ``cls`` config from :func:`plain`: mappings become the
+    field's dataclass, lists the field's tuple."""
+
+    def revive(hint: Any, value: Any) -> Any:
+        if isinstance(value, Mapping):
+            options = (hint, *typing.get_args(hint))
+            return from_plain(next(filter(dataclasses.is_dataclass, options)), value)
+        if isinstance(value, list):
+            item = typing.get_args(hint)[0]
+            return tuple(revive(item, v) for v in value)
+        return value
+
+    types = _field_types(cls)
+    return cls(**{name: revive(types[name], v) for name, v in data.items()})
 
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """A named cartesian sweep over experiment-config fields.
+    """A named cartesian sweep over the fields of one trial kind's config.
 
     Parameters
     ----------
     name:
         Campaign identifier (used in store records and the CLI).
     base:
-        The config every trial starts from.
+        The config every trial starts from; its type picks the trial kind.
     axes:
         Mapping (or ordered pairs) of field name -> values to sweep. Dotted
-        ``workload.*`` names reach into the nested :class:`WorkloadSpec`.
+        names reach into nested configs (see :func:`apply_axis`).
     baseline:
-        Scheduler every report row is normalized against. If none of the
-        product trials run it, baseline trials are added per replicate.
+        Policy every report row is normalized against: a scheduler, or a
+        routing policy for federation trials (stream trials have none). If
+        none of the product trials run it, baseline trials are added per
+        replicate.
     description:
         One line shown by ``repro campaign list``.
     """
 
     name: str
-    base: ExperimentConfig
+    base: Any
     axes: tuple[tuple[str, tuple[Any, ...]], ...]
     baseline: str | None = None
     description: str = ""
@@ -105,7 +135,7 @@ class CampaignSpec:
     def __init__(
         self,
         name: str,
-        base: ExperimentConfig,
+        base: Any,
         axes: Axes,
         baseline: str | None = None,
         description: str = "",
@@ -120,6 +150,15 @@ class CampaignSpec:
         object.__setattr__(self, "axes", normalized)
         object.__setattr__(self, "baseline", baseline)
         object.__setattr__(self, "description", description)
+        if baseline is not None and self.kind.baseline_field is None:
+            raise ValueError(f"{self.kind.name} campaigns take no baseline")
+
+    @property
+    def kind(self):
+        """The :class:`~repro.campaign.executor.TrialKind` of the base config."""
+        from repro.campaign.executor import kind_of
+
+        return kind_of(self.base)
 
     # ------------------------------------------------------------------
     def num_trials(self) -> int:
@@ -129,37 +168,38 @@ class CampaignSpec:
         """``scheduler×4 · grid×2 · seed×3`` — for listings and banners."""
         return " · ".join(f"{name}×{len(values)}" for name, values in self.axes)
 
-    def trials(self) -> list[ExperimentConfig]:
+    def _expand(self, axes) -> list[Any]:
+        configs = []
+        names = [name for name, _ in axes]
+        for combo in itertools.product(*(values for _, values in axes)):
+            config = self.base
+            for field_name, value in zip(names, combo):
+                config = apply_axis(config, field_name, value)
+            configs.append(config)
+        return configs
+
+    def trials(self) -> list[Any]:
         """Expand the spec into concrete, deduplicated trial configs.
 
         Baseline trials (when needed) come first so a campaign's progress
         stream starts with the rows everything else is normalized against.
         """
-        product_trials = []
-        names = [name for name, _ in self.axes]
-        for combo in itertools.product(*(values for _, values in self.axes)):
-            config = self.base
-            for field_name, value in zip(names, combo):
-                config = apply_axis_value(config, field_name, value)
-            product_trials.append(config)
-
-        configs: list[ExperimentConfig] = []
+        product_trials = self._expand(self.axes)
+        configs: list[Any] = []
+        kind = self.kind
+        field_name = kind.baseline_field
         if self.baseline is not None and not any(
-            c.scheduler == self.baseline for c in product_trials
+            getattr(c, field_name) == self.baseline for c in product_trials
         ):
             replicate_axes = [
                 (name, values)
                 for name, values in self.axes
-                if name not in POLICY_FIELDS
+                if name not in kind.policy_fields
             ]
-            rep_names = [name for name, _ in replicate_axes]
-            for combo in itertools.product(
-                *(values for _, values in replicate_axes)
-            ):
-                config = self.base
-                for field_name, value in zip(rep_names, combo):
-                    config = apply_axis_value(config, field_name, value)
-                configs.append(replace(config, scheduler=self.baseline))
+            configs = [
+                replace(config, **{field_name: self.baseline})
+                for config in self._expand(replicate_axes)
+            ]
         configs.extend(product_trials)
         return list(dict.fromkeys(configs))
 
@@ -176,13 +216,7 @@ class CampaignSpec:
                 num_executors=num_executors,
                 per_job_cap=max(2, num_executors // 4),
             )
-        return CampaignSpec(
-            name=self.name,
-            base=base,
-            axes=self.axes,
-            baseline=self.baseline,
-            description=self.description,
-        )
+        return replace(self, base=base)
 
 
 def matchup_spec(

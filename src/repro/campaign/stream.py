@@ -1,11 +1,12 @@
 """Streaming campaigns: sweeps over service-mode runs.
 
-The service analogue of :mod:`repro.campaign.spec` + :mod:`repro.campaign.
-geo`: a :class:`StreamCampaignSpec` is a base
-:class:`~repro.stream.service.ServiceConfig` plus axes, trials are keyed by
-the same content-addressed scheme into the same append-only
+The stream trial kind of :mod:`repro.campaign.executor`: a
+:class:`~repro.campaign.spec.CampaignSpec` whose base is a
+:class:`~repro.stream.service.ServiceConfig` sweeps service runs, keyed
+(under ``kind: "stream"``) into the same append-only
 :class:`~repro.campaign.store.ResultStore`, and re-runs skip completed
-trials.
+trials. ``stream.*`` axes reach the :class:`StreamSpec`, ``experiment.*``
+the :class:`~repro.experiments.runner.ExperimentConfig`.
 
 Key stability (the resume-from-store fix this module exists for): the trial
 key serializes the *full* stream spec — family, rate, scales, seed,
@@ -19,97 +20,18 @@ different epoch size or checkpoint cadence still resumes cleanly.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import itertools
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any
 
-from repro import faults
-from repro.campaign.cache import KEY_LENGTH, canonical_json, code_fingerprint
-from repro.campaign.executor import (
-    CampaignRun,
-    CampaignRunner,
-    capture_trial_record,
-)
-from repro.campaign.spec import config_from_dict, config_to_dict
-from repro.campaign.store import ResultStore, TrialRecord
+from repro.campaign.executor import TrialKind
+from repro.campaign.spec import CampaignSpec
+from repro.campaign.store import TrialRecord
 from repro.experiments.runner import ExperimentConfig
 from repro.stream.service import ServiceConfig, StreamReport, run_service
-from repro.workloads.alibaba import AlibabaWorkloadModel
 from repro.workloads.stream import StreamSpec
-
-Axes = Mapping[str, Iterable[Any]] | Iterable[tuple[str, Iterable[Any]]]
-
-#: ``on_progress(completed, total, line)`` — mirrors the campaign executor.
-ProgressCallback = Callable[[int, int, str], None]
 
 #: ServiceConfig fields excluded from the trial key: pure cadence, proven
 #: metrics-neutral, so changing them must not orphan stored results.
 CADENCE_FIELDS = ("epoch_events", "checkpoint_every_epochs", "checkpoint_dir")
-
-
-# ----------------------------------------------------------------------
-# Serialization (store records, trial keys)
-# ----------------------------------------------------------------------
-def service_to_dict(config: ServiceConfig) -> dict[str, Any]:
-    """Serialize a service config (all nesting) to plain JSON types."""
-    raw = dataclasses.asdict(config)
-
-    def _plain(obj: Any) -> Any:
-        if isinstance(obj, dict):
-            return {k: _plain(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [_plain(v) for v in obj]
-        return obj
-
-    plain = _plain(raw)
-    plain["experiment"] = config_to_dict(config.experiment)
-    return plain
-
-
-def stream_spec_from_dict(data: Mapping[str, Any]) -> StreamSpec:
-    """Rebuild a :class:`StreamSpec` from its serialized form."""
-    params = dict(data)
-    if isinstance(params.get("alibaba_model"), Mapping):
-        params["alibaba_model"] = AlibabaWorkloadModel(
-            **params["alibaba_model"]
-        )
-    if "tpch_scales" in params:
-        params["tpch_scales"] = tuple(params["tpch_scales"])
-    return StreamSpec(**params)
-
-
-def service_from_dict(data: Mapping[str, Any]) -> ServiceConfig:
-    """Rebuild a :class:`ServiceConfig` from :func:`service_to_dict`."""
-    params = dict(data)
-    params["experiment"] = config_from_dict(params["experiment"])
-    params["stream"] = stream_spec_from_dict(params["stream"])
-    return ServiceConfig(**params)
-
-
-def stream_trial_key(
-    config: ServiceConfig, code_version: str | None = None
-) -> str:
-    """Content-addressed identity of one streaming trial.
-
-    Hashes the experiment config plus the complete stream spec (rate,
-    horizon, seed, gc policy, ...) and the window shape, under
-    ``kind: "stream"``; cadence fields are dropped (see
-    :data:`CADENCE_FIELDS`).
-    """
-    config_dict = service_to_dict(config)
-    for field_name in CADENCE_FIELDS:
-        config_dict.pop(field_name, None)
-    payload = {
-        "code_version": (
-            code_version if code_version is not None else code_fingerprint()
-        ),
-        "kind": "stream",
-        "config": config_dict,
-    }
-    digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
-    return digest.hexdigest()[:KEY_LENGTH]
 
 
 def stream_metrics(report: StreamReport) -> dict[str, Any]:
@@ -126,71 +48,7 @@ def stream_metrics(report: StreamReport) -> dict[str, Any]:
     }
 
 
-# ----------------------------------------------------------------------
-# Spec + axes
-# ----------------------------------------------------------------------
-def apply_stream_axis(
-    config: ServiceConfig, field_name: str, value: Any
-) -> ServiceConfig:
-    """Return ``config`` with one (possibly dotted) field replaced.
-
-    ``stream.*`` reaches the :class:`StreamSpec`, ``experiment.*`` the
-    :class:`~repro.experiments.runner.ExperimentConfig`; bare names are
-    service-level fields.
-    """
-    if field_name.startswith("stream."):
-        sub = field_name.split(".", 1)[1]
-        return replace(config, stream=replace(config.stream, **{sub: value}))
-    if field_name.startswith("experiment."):
-        sub = field_name.split(".", 1)[1]
-        return replace(
-            config, experiment=replace(config.experiment, **{sub: value})
-        )
-    return replace(config, **{field_name: value})
-
-
-@dataclass(frozen=True)
-class StreamCampaignSpec:
-    """A named cartesian sweep over service-config fields."""
-
-    name: str
-    base: ServiceConfig
-    axes: tuple[tuple[str, tuple[Any, ...]], ...]
-    description: str = ""
-
-    def __init__(
-        self,
-        name: str,
-        base: ServiceConfig,
-        axes: Axes,
-        description: str = "",
-    ) -> None:
-        pairs = axes.items() if isinstance(axes, Mapping) else axes
-        normalized = tuple((str(k), tuple(v)) for k, v in pairs)
-        for field_name, values in normalized:
-            if not values:
-                raise ValueError(f"axis {field_name!r} has no values")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "axes", normalized)
-        object.__setattr__(self, "description", description)
-
-    def axis_summary(self) -> str:
-        return " · ".join(f"{name}×{len(values)}" for name, values in self.axes)
-
-    def trials(self) -> list[ServiceConfig]:
-        """Expand the spec into concrete, deduplicated trial configs."""
-        configs = []
-        names = [name for name, _ in self.axes]
-        for combo in itertools.product(*(values for _, values in self.axes)):
-            config = self.base
-            for field_name, value in zip(names, combo):
-                config = apply_stream_axis(config, field_name, value)
-            configs.append(config)
-        return list(dict.fromkeys(configs))
-
-
-def stream_presets() -> dict[str, StreamCampaignSpec]:
+def stream_presets() -> dict[str, CampaignSpec]:
     """Named streaming campaign specs (laptop scale)."""
     smoke_base = ServiceConfig(
         experiment=ExperimentConfig(scheduler="fifo", num_executors=6),
@@ -208,13 +66,13 @@ def stream_presets() -> dict[str, StreamCampaignSpec]:
         epoch_events=8192,
     )
     specs = [
-        StreamCampaignSpec(
+        CampaignSpec(
             "stream-smoke",
             smoke_base,
             axes={"experiment.scheduler": ("fifo", "pcaps")},
             description="2-trial streaming sanity campaign (tests, CI)",
         ),
-        StreamCampaignSpec(
+        CampaignSpec(
             "stream-steady",
             steady_base,
             axes={
@@ -228,9 +86,6 @@ def stream_presets() -> dict[str, StreamCampaignSpec]:
     return {spec.name: spec for spec in specs}
 
 
-# ----------------------------------------------------------------------
-# Execution against the shared result store
-# ----------------------------------------------------------------------
 def stream_trial_label(config: ServiceConfig) -> str:
     stream = config.stream
     bound = (
@@ -246,85 +101,23 @@ def stream_trial_label(config: ServiceConfig) -> str:
     )
 
 
-def run_stream_trial_to_record(
-    key: str, campaign: str, config: ServiceConfig, attempt: int = 1
-) -> TrialRecord:
-    """Execute one streaming trial, capturing failure as an error record."""
-
-    def execute():
-        faults.maybe_inject_worker(key, attempt)
-        return run_service(config)
-
-    return capture_trial_record(
-        key,
-        campaign,
-        service_to_dict(config),
-        execute,
-        stream_metrics,
-    )
+def _execute(
+    key: str, config: ServiceConfig, attempt: int, checkpoint
+) -> StreamReport:
+    # Service runs keep their own checkpoint cadence (ServiceConfig), not
+    # the campaign supervisor's trial policy.
+    return run_service(config)
 
 
-def _stream_pool_worker(
-    payload: tuple[str, str, dict], attempt: int = 1, checkpoint=None
-) -> TrialRecord:
-    """Top-level (picklable) worker: rebuild the config, run, summarize.
-
-    ``checkpoint`` is accepted for supervisor-loop signature compatibility
-    and ignored — service runs manage their own checkpoint cadence via
-    :class:`ServiceConfig`, not the campaign supervisor's trial policy.
-    """
-    key, campaign, config_dict = payload
-    return run_stream_trial_to_record(
-        key, campaign, service_from_dict(config_dict), attempt=attempt
-    )
-
-
-class StreamCampaignRunner(CampaignRunner):
-    """:class:`CampaignRunner` sweeping :class:`ServiceConfig` trials.
-
-    Inherits the whole resume/record/progress/pool loop; only the
-    config-type hooks differ, so streaming campaigns share the scheduler
-    campaigns' store format, caching semantics, and process-pool fan-out.
-    """
-
-    worker = staticmethod(_stream_pool_worker)
-
-    def trial_key_for(self, config: ServiceConfig) -> str:
-        return stream_trial_key(config, self.code_version)
-
-    def run_record(
-        self, key: str, campaign: str, config: ServiceConfig, attempt: int = 1
-    ) -> TrialRecord:
-        return run_stream_trial_to_record(key, campaign, config, attempt=attempt)
-
-    def payload_for(
-        self, key: str, campaign: str, config: ServiceConfig
-    ) -> tuple:
-        return (key, campaign, service_to_dict(config))
-
-    def label_for(self, record: TrialRecord) -> str:
-        return stream_trial_label(service_from_dict(record.config))
-
-
-def keyed_stream_trials(
-    spec: StreamCampaignSpec, code_version: str | None = None
-) -> list[tuple[str, ServiceConfig]]:
-    """(key, config) per trial, deduplicated, in campaign order."""
-    return StreamCampaignRunner(
-        store=None, code_version=code_version
-    ).keyed_trials(spec)
-
-
-def run_stream_campaign(
-    spec: StreamCampaignSpec,
-    store: ResultStore,
-    resume: bool = True,
-    on_progress: ProgressCallback | None = None,
-    workers: int | None = None,
-) -> CampaignRun:
-    """Execute every streaming trial not already in the store."""
-    runner = StreamCampaignRunner(store, workers=workers)
-    return runner.run(spec, resume=resume, on_progress=on_progress)
+TRIAL_KIND = TrialKind(
+    name="stream",
+    config_type=ServiceConfig,
+    execute=_execute,
+    metrics=stream_metrics,
+    label=stream_trial_label,
+    key_tag="stream",
+    key_excluded=CADENCE_FIELDS,
+)
 
 
 # ----------------------------------------------------------------------
@@ -378,22 +171,3 @@ def format_stream_campaign_report(
             f"{row['utilization']:>6.3f} {row['stretch_mean']:>8.2f}"
         )
     return "\n".join(lines)
-
-
-__all__ = [
-    "CADENCE_FIELDS",
-    "StreamCampaignRunner",
-    "StreamCampaignSpec",
-    "apply_stream_axis",
-    "format_stream_campaign_report",
-    "keyed_stream_trials",
-    "run_stream_campaign",
-    "run_stream_trial_to_record",
-    "service_from_dict",
-    "service_to_dict",
-    "stream_campaign_report",
-    "stream_metrics",
-    "stream_presets",
-    "stream_spec_from_dict",
-    "stream_trial_key",
-]

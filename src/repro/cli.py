@@ -202,14 +202,19 @@ GEO_ROUTING_CHOICES = (
 )
 
 
+def _preset(presets: dict, name: str, noun: str):
+    if name not in presets:
+        _error(f"unknown {noun} {name!r}; choose from {sorted(presets)}")
+        return None
+    return presets[name]
+
+
 def _campaign_spec(args: argparse.Namespace):
     from repro.campaign import campaign_presets
 
-    presets = campaign_presets()
-    if args.name not in presets:
-        _error(f"unknown campaign {args.name!r}; choose from {sorted(presets)}")
+    spec = _preset(campaign_presets(), args.name, "campaign")
+    if spec is None:
         return None
-    spec = presets[args.name]
     jobs = getattr(args, "jobs", None)
     executors = getattr(args, "executors", None)
     if jobs is not None or executors is not None:
@@ -221,17 +226,41 @@ def _campaign_spec(args: argparse.Namespace):
     return spec
 
 
-def _print_campaign_report(runner, spec) -> None:
+def _campaign_table(spec, records, expected: int) -> str:
     from repro.campaign import campaign_report, format_campaign_report
 
-    records = runner.collect(spec)
-    expected = len(runner.keyed_trials(spec))
     rows = campaign_report(records, baseline=spec.baseline)
     title = (
         f"campaign {spec.name!r} — {len(records)}/{expected} trials in store, "
         f"baseline {spec.baseline or '(absolute metrics)'}"
     )
-    print(format_campaign_report(rows, title=title))
+    return format_campaign_report(rows, title=title)
+
+
+def _geo_table(spec, records, expected: int) -> str:
+    from repro.campaign import format_geo_report, geo_campaign_report
+
+    rows = geo_campaign_report(records, baseline=spec.baseline)
+    return format_geo_report(rows, title=f"geo campaign {spec.name!r}")
+
+
+def _stream_table(spec, records, expected: int) -> str:
+    from repro.campaign.stream import (
+        format_stream_campaign_report,
+        stream_campaign_report,
+    )
+
+    rows = stream_campaign_report(records)
+    return format_stream_campaign_report(
+        rows, title=f"stream campaign {spec.name!r}"
+    )
+
+
+def _print_report(runner, spec, table) -> None:
+    """``table(spec, records, expected)`` over the spec's stored records,
+    then the trial-health lines."""
+    records = runner.collect(spec)
+    print(table(spec, records, len(runner.keyed_trials(spec))))
     _print_trial_health(records)
 
 
@@ -277,16 +306,13 @@ def _supervisor_from_args(args: argparse.Namespace):
     )
 
 
-def _cmd_campaign_run(args: argparse.Namespace) -> int:
+def _run_sweep(args: argparse.Namespace, spec, noun: str, table) -> int:
+    """Run ``spec`` against ``--store`` and print its report: the one driver
+    behind ``campaign run``/``resume`` and the geo, disrupt and stream
+    sweeps. ``table`` renders the kind's report (see :func:`_print_report`).
+    """
     from repro.campaign import CampaignInterrupted, CampaignRunner, ResultStore
 
-    spec = _campaign_spec(args)
-    if spec is None:
-        return 2
-    resume = not getattr(args, "no_resume", False)
-    if args.cmd == "resume" and not ResultStore(args.store).path.exists():
-        _error(f"nothing to resume: store {args.store!r} does not exist")
-        return 2
     exporter = None
     if getattr(args, "export_jsonl", None):
         from repro.obs.export import JsonlExporter
@@ -299,7 +325,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         exporter=exporter,
     )
     print(
-        f"campaign {spec.name!r}: {len(runner.keyed_trials(spec))} trials "
+        f"{noun} {spec.name!r}: {len(runner.keyed_trials(spec))} trials "
         f"({spec.axis_summary()}), store {args.store}"
     )
 
@@ -307,11 +333,12 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         if not args.quiet:
             print(f"[{done:>3}/{total}] {line}")
 
+    resume = not getattr(args, "no_resume", False)
     try:
         run = runner.run(spec, resume=resume, on_progress=progress)
     except CampaignInterrupted as interrupted:
         # Completed futures were drained into the store before this
-        # propagated, so `repro campaign resume` continues from here.
+        # propagated, so re-running the command continues from here.
         print(f"interrupted: {interrupted}")
         return 130
     stats = run.stats
@@ -325,8 +352,20 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             f"  FAILED {record.key} after {record.attempts} attempt(s): "
             f"{record.error}"
         )
-    _print_campaign_report(runner, spec)
+    _print_report(runner, spec, table)
     return 1 if run.failures else 0
+
+
+def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    from repro.campaign import ResultStore
+
+    spec = _campaign_spec(args)
+    if spec is None:
+        return 2
+    if args.cmd == "resume" and not ResultStore(args.store).path.exists():
+        _error(f"nothing to resume: store {args.store!r} does not exist")
+        return 2
+    return _run_sweep(args, spec, "campaign", _campaign_table)
 
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
@@ -339,7 +378,7 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
     if not store.path.exists():
         _error(f"store {args.store!r} does not exist; run the campaign first")
         return 2
-    _print_campaign_report(CampaignRunner(store), spec)
+    _print_report(CampaignRunner(store), spec, _campaign_table)
     return 0
 
 
@@ -609,42 +648,12 @@ def _cmd_geo_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_geo_sweep(args: argparse.Namespace) -> int:
-    from repro.campaign import (
-        ResultStore,
-        format_geo_report,
-        geo_campaign_report,
-        geo_presets,
-        run_geo_campaign,
-    )
+    from repro.campaign import geo_presets
 
-    presets = geo_presets()
-    if args.name not in presets:
-        _error(f"unknown geo campaign {args.name!r}; choose from {sorted(presets)}")
+    spec = _preset(geo_presets(), args.name, "geo campaign")
+    if spec is None:
         return 2
-    spec = presets[args.name]
-    store = ResultStore(args.store)
-    print(
-        f"geo campaign {spec.name!r}: {len(spec.trials())} trials "
-        f"({spec.axis_summary()}), store {args.store}"
-    )
-
-    def progress(done: int, total: int, line: str) -> None:
-        if not args.quiet:
-            print(f"[{done:>3}/{total}] {line}")
-
-    run = run_geo_campaign(
-        spec, store, on_progress=progress, workers=args.workers
-    )
-    stats = run.stats
-    print(
-        f"done in {run.wall_time_s:.1f}s: {stats.misses} simulated, "
-        f"{stats.hits} cached, {len(run.failures)} failed"
-    )
-    for record in run.failures:
-        print(f"  FAILED {record.key}: {record.error}")
-    rows = geo_campaign_report(run.records, baseline=spec.baseline)
-    print(format_geo_report(rows, title=f"geo campaign {spec.name!r}"))
-    return 1 if run.failures else 0
+    return _run_sweep(args, spec, "geo campaign", _geo_table)
 
 
 def _cmd_geo(args: argparse.Namespace) -> int:
@@ -867,49 +876,12 @@ def _cmd_stream_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream_sweep(args: argparse.Namespace) -> int:
-    from repro.campaign import ResultStore
-    from repro.campaign.stream import (
-        format_stream_campaign_report,
-        run_stream_campaign,
-        stream_campaign_report,
-        stream_presets,
-    )
+    from repro.campaign.stream import stream_presets
 
-    presets = stream_presets()
-    if args.name not in presets:
-        _error(
-            f"unknown stream campaign {args.name!r}; "
-            f"choose from {sorted(presets)}"
-        )
+    spec = _preset(stream_presets(), args.name, "stream campaign")
+    if spec is None:
         return 2
-    spec = presets[args.name]
-    store = ResultStore(args.store)
-    print(
-        f"stream campaign {spec.name!r}: {len(spec.trials())} trials "
-        f"({spec.axis_summary()}), store {args.store}"
-    )
-
-    def progress(done: int, total: int, line: str) -> None:
-        if not args.quiet:
-            print(f"[{done:>3}/{total}] {line}")
-
-    run = run_stream_campaign(
-        spec, store, on_progress=progress, workers=args.workers
-    )
-    stats = run.stats
-    print(
-        f"done in {run.wall_time_s:.1f}s: {stats.misses} simulated, "
-        f"{stats.hits} cached, {len(run.failures)} failed"
-    )
-    for record in run.failures:
-        print(f"  FAILED {record.key}: {record.error}")
-    rows = stream_campaign_report(run.records)
-    print(
-        format_stream_campaign_report(
-            rows, title=f"stream campaign {spec.name!r}"
-        )
-    )
-    return 1 if run.failures else 0
+    return _run_sweep(args, spec, "stream campaign", _stream_table)
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:

@@ -51,7 +51,7 @@ class StreamSpec:
     for always-on service runs that stop via the runner).
 
     Every field — including ``gc_policy`` — is serialized into the
-    campaign trial key (:func:`repro.campaign.stream.stream_trial_key`), so
+    campaign trial key (:func:`repro.campaign.cache.trial_key`), so
     resume-from-store stays content-addressed for streaming campaigns.
     """
 

@@ -20,9 +20,9 @@ from repro.campaign.reports import (
 from repro.campaign.spec import (
     CampaignSpec,
     campaign_presets,
-    config_from_dict,
-    config_to_dict,
+    from_plain,
     matchup_spec,
+    plain,
 )
 from repro.campaign.store import (
     STATUS_ERROR,
@@ -138,17 +138,17 @@ class TestCampaignSpec:
 class TestConfigSerialization:
     def test_roundtrip_tpch(self):
         config = tiny_config(scheduler="pcaps", gamma=0.7, cap_min_quota=3)
-        assert config_from_dict(config_to_dict(config)) == config
+        assert from_plain(ExperimentConfig, plain(config)) == config
 
     def test_roundtrip_alibaba(self):
         config = tiny_config(
             workload=WorkloadSpec(family="alibaba", num_jobs=2)
         )
-        assert config_from_dict(config_to_dict(config)) == config
+        assert from_plain(ExperimentConfig, plain(config)) == config
 
     def test_dict_is_json_safe(self):
-        payload = json.dumps(config_to_dict(tiny_config()))
-        assert config_from_dict(json.loads(payload)) == tiny_config()
+        payload = json.dumps(plain(tiny_config()))
+        assert from_plain(ExperimentConfig, json.loads(payload)) == tiny_config()
 
 
 class TestTrialKey:
@@ -179,8 +179,48 @@ class TestTrialKey:
         assert CacheStats(hits=3, misses=1).hit_rate == 0.75
 
 
+class TestKeyFormat:
+    """Golden keys: the store's key payloads and every preset's trial order.
+
+    A change here orphans every stored result, so it must be deliberate.
+    """
+
+    def test_golden_keys_per_kind(self):
+        from repro.campaign.geo import geo_presets
+        from repro.campaign.stream import stream_presets
+
+        stream = stream_presets()["stream-smoke"].trials()[0]
+        assert trial_key(campaign_presets()["smoke"].trials()[0], "pin") == (
+            "0e69303a04015af6"
+        )
+        assert trial_key(geo_presets()["disrupt-sweep"].trials()[0], "pin") == (
+            "dcd2b22fe6b433fd"
+        )
+        assert trial_key(stream, "pin") == "23916f5610cd20e3"
+        assert trial_key(replace(stream, epoch_events=7), "pin") == "23916f5610cd20e3"
+
+    def test_every_preset_keys_and_orders_its_trials(self):
+        import hashlib
+
+        from repro.campaign.geo import geo_presets
+        from repro.campaign.stream import stream_presets
+
+        runner = CampaignRunner(None, code_version="pin")
+        digest = hashlib.sha256()
+        count = 0
+        for presets in (campaign_presets(), geo_presets(), stream_presets()):
+            for name, spec in presets.items():
+                keys = [key for key, _ in runner.keyed_trials(spec)]
+                count += len(keys)
+                digest.update(f"{name}:{','.join(keys)}\n".encode())
+        assert count == 427
+        assert digest.hexdigest() == (
+            "66e5074304bef92cfaac0179d63d0361464851ba156638fb245f6f86dce6fa93"
+        )
+
+
 def ok_record(key="k", campaign="c", scheduler="fifo", seed=0, **metrics):
-    config = config_to_dict(tiny_config(scheduler=scheduler, seed=seed))
+    config = plain(tiny_config(scheduler=scheduler, seed=seed))
     defaults = dict(carbon_footprint=100.0, ect=50.0, avg_jct=10.0)
     defaults.update(metrics)
     return TrialRecord(
@@ -199,7 +239,7 @@ class TestResultStore:
     def test_last_write_wins(self, tmp_path):
         store = ResultStore(tmp_path / "results.jsonl")
         failed = TrialRecord(
-            key="a", campaign="c", config=config_to_dict(tiny_config()),
+            key="a", campaign="c", config=plain(tiny_config()),
             status=STATUS_ERROR, error="boom",
         )
         store.append(failed)
@@ -231,7 +271,7 @@ class TestResultStore:
 
     def test_error_record_has_no_metrics(self):
         record = TrialRecord(
-            key="a", campaign="c", config=config_to_dict(tiny_config()),
+            key="a", campaign="c", config=plain(tiny_config()),
             status=STATUS_ERROR, error="boom",
         )
         with pytest.raises(ValueError):
@@ -378,7 +418,7 @@ class TestReports:
         store residue) must not crash reports or serve as a cache hit."""
         broken = TrialRecord(
             key="broken", campaign="c",
-            config=config_to_dict(tiny_config()), status=STATUS_OK,
+            config=plain(tiny_config()), status=STATUS_OK,
         )
         assert not broken.ok
         assert campaign_report([broken]) == []
@@ -388,7 +428,7 @@ class TestReports:
         store.append(
             TrialRecord(
                 key="broken", campaign="c",
-                config=config_to_dict(tiny_config()), status=STATUS_OK,
+                config=plain(tiny_config()), status=STATUS_OK,
             )
         )
         assert store.completed() == {}  # resume will re-run the trial
@@ -420,7 +460,7 @@ class TestReports:
         records = self._records()
         records.append(
             TrialRecord(
-                key="bad", campaign="c", config=config_to_dict(tiny_config()),
+                key="bad", campaign="c", config=plain(tiny_config()),
                 status=STATUS_ERROR, error="boom",
             )
         )

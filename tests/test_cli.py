@@ -149,6 +149,31 @@ class TestCampaignCommands:
         assert exc.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "run", "smoke"],
+            ["geo", "sweep", "geo-smoke"],
+            ["disrupt", "sweep"],
+            ["stream", "sweep", "stream-smoke"],
+        ],
+        ids=" ".join,
+    )
+    def test_interrupted_sweep_exits_130(self, tmp_path, capsys, monkeypatch, argv):
+        """SIGINT/SIGTERM surface as CampaignInterrupted from the runner;
+        every sweep command reports it and exits 130 instead of raising."""
+        from repro.campaign import CampaignInterrupted, CampaignRunner
+
+        def interrupted(self, spec, resume=True, on_progress=None):
+            raise CampaignInterrupted(completed=1, pending=3)
+
+        monkeypatch.setattr(CampaignRunner, "run", interrupted)
+        store = str(tmp_path / "store.jsonl")
+        assert main(argv + ["--store", store, "--workers", "0"]) == 130
+        out = capsys.readouterr().out
+        assert "interrupted: " in out
+        assert "done in" not in out
+
     def test_campaign_run_rerun_and_report(self, tmp_path, capsys):
         store = str(tmp_path / "smoke.jsonl")
         base = ["campaign", "run", "smoke", "--store", store, "--workers", "0"]

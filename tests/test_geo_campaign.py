@@ -2,18 +2,13 @@
 
 import pytest
 
-from repro.campaign import ResultStore
+from repro.campaign import CampaignRunner, CampaignSpec, ResultStore, trial_key
 from repro.campaign.geo import (
-    GeoCampaignSpec,
-    apply_geo_axis,
-    federation_from_dict,
-    federation_to_dict,
     format_geo_report,
     geo_campaign_report,
     geo_presets,
-    geo_trial_key,
-    run_geo_campaign,
 )
+from repro.campaign.spec import apply_axis, from_plain, plain
 from repro.cli import main
 from repro.geo import FederationConfig, RegionConfig
 from repro.workloads.batch import WorkloadSpec
@@ -35,46 +30,44 @@ def tiny_base(**overrides) -> FederationConfig:
     return FederationConfig(**params)
 
 
+def geo_spec(axes) -> CampaignSpec:
+    return CampaignSpec("t", tiny_base(), axes=axes, baseline="round-robin")
+
+
 class TestSerialization:
     def test_round_trip(self):
         config = tiny_base(routing="carbon-forecast", seed=9)
-        assert federation_from_dict(federation_to_dict(config)) == config
+        assert from_plain(FederationConfig, plain(config)) == config
 
     def test_key_is_content_addressed(self):
         config = tiny_base()
-        assert geo_trial_key(config, "v1") == geo_trial_key(config, "v1")
-        assert geo_trial_key(config, "v1") != geo_trial_key(
+        assert trial_key(config, "v1") == trial_key(config, "v1")
+        assert trial_key(config, "v1") != trial_key(
             config.with_routing("queue-aware"), "v1"
         )
-        assert geo_trial_key(config, "v1") != geo_trial_key(config, "v2")
+        assert trial_key(config, "v1") != trial_key(config, "v2")
 
 
 class TestSpec:
     def test_axes_expand_cartesian(self):
-        spec = GeoCampaignSpec(
-            "t", tiny_base(),
-            axes={"routing": ("round-robin", "carbon-greedy"), "seed": (0, 1)},
-        )
+        spec = geo_spec({"routing": ("round-robin", "carbon-greedy"), "seed": (0, 1)})
         trials = spec.trials()
         assert len(trials) == 4
         assert {t.routing for t in trials} == {"round-robin", "carbon-greedy"}
 
     def test_baseline_trials_injected_when_missing(self):
-        spec = GeoCampaignSpec(
-            "t", tiny_base(),
-            axes={"routing": ("carbon-forecast",), "seed": (0, 1)},
-        )
+        spec = geo_spec({"routing": ("carbon-forecast",), "seed": (0, 1)})
         trials = spec.trials()
         baselines = [t for t in trials if t.routing == "round-robin"]
         assert len(baselines) == 2  # one per seed replicate
 
     def test_dotted_axes_reach_nested_configs(self):
         config = tiny_base()
-        assert apply_geo_axis(config, "workload.num_jobs", 9).workload.num_jobs == 9
-        assert apply_geo_axis(
+        assert apply_axis(config, "workload.num_jobs", 9).workload.num_jobs == 9
+        assert apply_axis(
             config, "transfer.kwh_per_gb", 0.5
         ).transfer.kwh_per_gb == 0.5
-        swept = apply_geo_axis(config, "regions.scheduler", "pcaps")
+        swept = apply_axis(config, "regions.scheduler", "pcaps")
         assert all(r.scheduler == "pcaps" for r in swept.regions)
 
     def test_presets_include_geo_sweep(self):
@@ -92,71 +85,52 @@ class TestSpec:
 
 class TestExecution:
     def test_run_populates_store_and_resumes(self, tmp_path):
-        spec = GeoCampaignSpec(
-            "t", tiny_base(),
-            axes={"routing": ("round-robin", "carbon-greedy")},
-        )
+        spec = geo_spec({"routing": ("round-robin", "carbon-greedy")})
         store = ResultStore(tmp_path / "geo.jsonl")
-        first = run_geo_campaign(spec, store, workers=0)
+        first = CampaignRunner(store, workers=0).run(spec)
         assert first.stats.misses == 2 and not first.failures
-        second = run_geo_campaign(spec, store, workers=0)
+        second = CampaignRunner(store, workers=0).run(spec)
         assert second.stats.hits == 2 and second.stats.misses == 0
         assert [r.key for r in first.records] == [r.key for r in second.records]
 
     def test_pool_execution_matches_inline(self, tmp_path):
         """Geo trials fan out across the shared campaign process pool."""
-        spec = GeoCampaignSpec(
-            "t", tiny_base(),
-            axes={"routing": ("round-robin", "carbon-greedy")},
-        )
-        pooled = run_geo_campaign(
-            spec, ResultStore(tmp_path / "pool.jsonl"), workers=2
-        )
-        inline = run_geo_campaign(
-            spec, ResultStore(tmp_path / "inline.jsonl"), workers=0
-        )
+        spec = geo_spec({"routing": ("round-robin", "carbon-greedy")})
+        pooled = CampaignRunner(
+            ResultStore(tmp_path / "pool.jsonl"), workers=2
+        ).run(spec)
+        inline = CampaignRunner(
+            ResultStore(tmp_path / "inline.jsonl"), workers=0
+        ).run(spec)
         assert not pooled.failures
         by_key_pool = {r.key: r.metrics for r in pooled.records}
         by_key_inline = {r.key: r.metrics for r in inline.records}
         assert by_key_pool == by_key_inline  # determinism across processes
 
     def test_failure_isolated_as_error_record(self, tmp_path, monkeypatch):
-        spec = GeoCampaignSpec(
-            "t", tiny_base(), axes={"routing": ("round-robin",)}
-        )
+        spec = geo_spec({"routing": ("round-robin",)})
         monkeypatch.setattr(
             "repro.campaign.geo.run_federation",
             lambda config: (_ for _ in ()).throw(RuntimeError("boom")),
         )
-        run = run_geo_campaign(
-            spec, ResultStore(tmp_path / "geo.jsonl"), workers=0
-        )
+        run = CampaignRunner(ResultStore(tmp_path / "geo.jsonl"), workers=0).run(spec)
         assert len(run.failures) == 1
         assert "boom" in run.failures[0].error
 
     def test_cached_progress_lines_increment(self, tmp_path):
-        spec = GeoCampaignSpec(
-            "t", tiny_base(),
-            axes={"routing": ("round-robin", "carbon-greedy")},
-        )
+        spec = geo_spec({"routing": ("round-robin", "carbon-greedy")})
         store = ResultStore(tmp_path / "geo.jsonl")
-        run_geo_campaign(spec, store, workers=0)
+        CampaignRunner(store, workers=0).run(spec)
         lines: list[tuple[int, int, str]] = []
-        run_geo_campaign(
-            spec, store, workers=0,
-            on_progress=lambda d, t, line: lines.append((d, t, line)),
+        CampaignRunner(store, workers=0).run(
+            spec, on_progress=lambda d, t, line: lines.append((d, t, line))
         )
         assert [(d, t) for d, t, _ in lines] == [(1, 2), (2, 2)]
         assert all(line.startswith("cached ") for _, _, line in lines)
 
     def test_report_normalizes_to_baseline(self, tmp_path):
-        spec = GeoCampaignSpec(
-            "t", tiny_base(),
-            axes={"routing": ("round-robin", "carbon-greedy"), "seed": (0, 1)},
-        )
-        run = run_geo_campaign(
-            spec, ResultStore(tmp_path / "geo.jsonl"), workers=0
-        )
+        spec = geo_spec({"routing": ("round-robin", "carbon-greedy"), "seed": (0, 1)})
+        run = CampaignRunner(ResultStore(tmp_path / "geo.jsonl"), workers=0).run(spec)
         rows = geo_campaign_report(run.records, baseline="round-robin")
         by_routing = {row["routing"]: row for row in rows}
         assert by_routing["round-robin"]["carbon_reduction_pct"] == pytest.approx(0.0)
@@ -207,12 +181,25 @@ class TestCLI:
             assert routing in out
 
     def test_geo_sweep(self, tmp_path, capsys):
+        """The sweep prints the campaign-run summary and the trial-health
+        block: a trial that fails its first attempt shows up as flaky."""
+        from repro import faults
+
+        flaky_key = trial_key(geo_presets()["geo-smoke"].trials()[0])
+        plan = faults.FaultPlan(
+            rules=(faults.FaultRule("error", key_prefix=flaky_key, occasions=(1,)),)
+        )
         store = str(tmp_path / "geo.jsonl")
-        assert main(
-            ["geo", "sweep", "geo-smoke", "--store", store, "--workers", "0"]
-        ) == 0
+        with faults.injecting(plan):
+            assert main(
+                ["geo", "sweep", "geo-smoke", "--store", store, "--workers", "0"]
+            ) == 0
         out = capsys.readouterr().out
         assert "2 trials" in out and "0 failed" in out
+        assert "cache hit rate 0.0%" in out
+        assert f"flaky  {flaky_key[:12]}: ok on attempt 2" in out
+        assert "InjectedFault" in out
+        assert out.count("flaky ") == 1
 
     def test_geo_sweep_unknown_preset(self, capsys):
         assert main(["geo", "sweep", "nope"]) == 2

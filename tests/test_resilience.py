@@ -14,7 +14,7 @@ import pytest
 from test_campaign import tiny_config, tiny_spec
 
 from repro.campaign.executor import CampaignRunner
-from repro.campaign.spec import config_to_dict
+from repro.campaign.spec import plain
 from repro.campaign.store import (
     STATUS_ERROR,
     STATUS_OK,
@@ -34,7 +34,7 @@ def record_for(key: str, status: str = STATUS_OK, **overrides) -> TrialRecord:
     params = dict(
         key=key,
         campaign="t",
-        config=config_to_dict(tiny_config()),
+        config=plain(tiny_config()),
         status=status,
         metrics={"carbon_footprint": 1.0, "ect": 2.0, "avg_jct": 3.0}
         if status == STATUS_OK
