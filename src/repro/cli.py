@@ -54,7 +54,12 @@ from repro.experiments.tables import (
     table2_rows,
     table3_rows,
 )
-from repro.experiments.figures import cap_b_sweep, pcaps_gamma_sweep
+from repro.experiments.figures import (
+    cap_b_sweep,
+    cap_b_sweep_configs,
+    gamma_sweep_configs,
+    pcaps_gamma_sweep,
+)
 from repro.obs.observer import (
     DEFAULT_OBS_DIR,
     LOG_LEVELS,
@@ -148,7 +153,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     baseline = args.baseline or names[0]
     if baseline not in names:
         names = [baseline] + names
-    config = _experiment_config(args, gamma=args.gamma)
+    try:
+        config = _experiment_config(args, gamma=args.gamma)
+    except ValueError as exc:
+        _error(f"invalid experiment: {exc}")
+        return 2
     results = run_matchup(names, config)
     base = results[baseline]
     print(f"{'scheduler':<20} {'carbon_red%':>12} {'ECT':>8} {'JCT':>8}")
@@ -162,25 +171,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
+    underlying = args.baseline or "decima"
     if args.knob == "gamma":
-        points = pcaps_gamma_sweep(
-            gammas=tuple(args.values or (0.1, 0.3, 0.5, 0.7, 0.9)),
-            baseline=args.baseline or "decima",
-            config=config,
-        )
-        label = "gamma"
+        sweep, configs = pcaps_gamma_sweep, gamma_sweep_configs
+        values = tuple(args.values or (0.1, 0.3, 0.5, 0.7, 0.9))
     else:
-        quotas = tuple(
-            int(v) for v in (args.values or (2, 4, 8, 12, 16))
-        )
-        points = cap_b_sweep(
-            quotas=quotas,
-            underlying=args.baseline or "decima",
-            config=config,
-        )
-        label = "B"
-    print(f"{label:>7} {'carbon_red%':>12} {'ECT':>8} {'JCT':>8}")
+        sweep, configs = cap_b_sweep, cap_b_sweep_configs
+        values = tuple(int(v) for v in (args.values or (2, 4, 8, 12, 16)))
+    try:
+        config = _experiment_config(args)
+        configs(values, underlying, config)  # a bad value fails before any trial
+    except ValueError as exc:
+        _error(f"invalid experiment: {exc}")
+        return 2
+    points = sweep(values, underlying, config)
+    print(f"{args.knob:>7} {'carbon_red%':>12} {'ECT':>8} {'JCT':>8}")
     for p in points:
         print(
             f"{p.parameter:>7.2f} {p.carbon_reduction_pct:>11.1f}% "
@@ -220,6 +225,7 @@ def _campaign_spec(args: argparse.Namespace):
     if jobs is not None or executors is not None:
         try:
             spec = spec.scaled(num_jobs=jobs, num_executors=executors)
+            spec.trials()  # every swept config must be valid at this size
         except ValueError as exc:
             _error(f"invalid campaign scaling: {exc}")
             return None

@@ -93,30 +93,55 @@ class SweepPoint:
     jct_ratio: float
 
 
+def _sweep_config() -> ExperimentConfig:
+    return ExperimentConfig(
+        grid="DE",
+        num_executors=25,
+        workload=WorkloadSpec(family="tpch", num_jobs=20),
+        seed=5,
+    )
+
+
+def gamma_sweep_configs(
+    gammas: tuple[float, ...], baseline: str, config: ExperimentConfig
+) -> list[ExperimentConfig]:
+    """The baseline's config, then PCAPS's at each γ (validated now)."""
+    return [replace(config, scheduler=baseline)] + [
+        replace(config, scheduler="pcaps", gamma=gamma) for gamma in gammas
+    ]
+
+
+def cap_b_sweep_configs(
+    quotas: tuple[int, ...], underlying: str, config: ExperimentConfig
+) -> list[ExperimentConfig]:
+    """The underlying's config, then CAP's at each B (validated now)."""
+    return [replace(config, scheduler=underlying)] + [
+        replace(config, scheduler=f"cap-{underlying}", cap_min_quota=quota)
+        for quota in quotas
+    ]
+
+
+def _run_sweep(parameters, configs: list[ExperimentConfig]) -> list[SweepPoint]:
+    """Run the baseline (first config), then each point against it."""
+    trace = carbon_trace_for(configs[0])
+    base = run_experiment(configs[0], carbon_trace=trace)
+    points = []
+    for parameter, config in zip(parameters, configs[1:]):
+        m = compare_to_baseline(run_experiment(config, carbon_trace=trace), base)
+        points.append(
+            SweepPoint(parameter, m.carbon_reduction_pct, m.ect_ratio, m.jct_ratio)
+        )
+    return points
+
+
 def pcaps_gamma_sweep(
     gammas: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9),
     baseline: str = "fifo",
     config: ExperimentConfig | None = None,
 ) -> list[SweepPoint]:
     """Figs. 7/11: carbon vs ECT across PCAPS's γ (relative to a baseline)."""
-    config = config or ExperimentConfig(
-        grid="DE",
-        num_executors=25,
-        workload=WorkloadSpec(family="tpch", num_jobs=20),
-        seed=5,
-    )
-    trace = carbon_trace_for(config)
-    base = run_experiment(replace(config, scheduler=baseline), carbon_trace=trace)
-    points = []
-    for gamma in gammas:
-        result = run_experiment(
-            replace(config, scheduler="pcaps", gamma=gamma), carbon_trace=trace
-        )
-        m = compare_to_baseline(result, base)
-        points.append(
-            SweepPoint(gamma, m.carbon_reduction_pct, m.ect_ratio, m.jct_ratio)
-        )
-    return points
+    configs = gamma_sweep_configs(gammas, baseline, config or _sweep_config())
+    return _run_sweep(gammas, configs)
 
 
 def cap_b_sweep(
@@ -125,27 +150,8 @@ def cap_b_sweep(
     config: ExperimentConfig | None = None,
 ) -> list[SweepPoint]:
     """Figs. 8/12: carbon vs ECT across CAP's minimum quota B."""
-    config = config or ExperimentConfig(
-        grid="DE",
-        num_executors=25,
-        workload=WorkloadSpec(family="tpch", num_jobs=20),
-        seed=5,
-    )
-    trace = carbon_trace_for(config)
-    base = run_experiment(
-        replace(config, scheduler=underlying), carbon_trace=trace
-    )
-    points = []
-    for quota in quotas:
-        result = run_experiment(
-            replace(config, scheduler=f"cap-{underlying}", cap_min_quota=quota),
-            carbon_trace=trace,
-        )
-        m = compare_to_baseline(result, base)
-        points.append(
-            SweepPoint(float(quota), m.carbon_reduction_pct, m.ect_ratio, m.jct_ratio)
-        )
-    return points
+    configs = cap_b_sweep_configs(quotas, underlying, config or _sweep_config())
+    return _run_sweep([float(quota) for quota in quotas], configs)
 
 
 # ----------------------------------------------------------------------

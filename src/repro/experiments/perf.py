@@ -111,7 +111,6 @@ class PerfMeasurement:
     #: pass so the timed wall stays observation-free).
     frontier_matrix_hit_rate: float | None = field(default=None)
     frontier_column_hit_rate: float | None = field(default=None)
-    ready_cache_hit_rate: float | None = field(default=None)
 
 
 DEFAULT_SCHEDULERS: tuple[str, ...] = ("fifo", "decima", "pcaps")
@@ -157,8 +156,8 @@ def smoke_scenarios() -> list[PerfScenario]:
 
 def _cache_hit_rates(
     config: ExperimentConfig,
-) -> tuple[float | None, float | None, float | None]:
-    """(matrix, column, ready) hit rates from one untimed observed run."""
+) -> tuple[float | None, float | None]:
+    """(matrix, column) hit rates from one untimed observed run."""
     from repro.obs.observer import collecting, hit_rate
 
     with collecting("perf-cache-stats") as observer:
@@ -170,11 +169,7 @@ def _cache_hit_rates(
             registry.value(f"{base}.hits"), registry.value(f"{base}.misses")
         )
 
-    return (
-        rate("engine.cache.matrix"),
-        rate("engine.cache.column"),
-        rate("engine.cache.ready"),
-    )
+    return rate("engine.cache.matrix"), rate("engine.cache.column")
 
 
 def run_scenario(
@@ -194,9 +189,9 @@ def run_scenario(
     t0 = time.perf_counter()
     carbon = result.carbon_footprint
     carbon_tally_s = time.perf_counter() - t0
-    matrix_rate = column_rate = ready_rate = None
+    matrix_rate = column_rate = None
     if collect_cache_stats:
-        matrix_rate, column_rate, ready_rate = _cache_hit_rates(config)
+        matrix_rate, column_rate = _cache_hit_rates(config)
     return PerfMeasurement(
         name=scenario.name,
         scheduler=scenario.scheduler,
@@ -219,7 +214,6 @@ def run_scenario(
         ),
         frontier_matrix_hit_rate=matrix_rate,
         frontier_column_hit_rate=column_rate,
-        ready_cache_hit_rate=ready_rate,
     )
 
 

@@ -93,6 +93,17 @@ class ExperimentConfig:
             )
         if self.per_job_cap is not None and self.per_job_cap < 1:
             raise ValueError(f"per_job_cap must be >= 1, got {self.per_job_cap}")
+        for knob in ("gamma", "gh_theta"):
+            value = getattr(self, knob)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{knob} must be in [0, 1], got {value}")
+        if self.cap_min_quota is not None and not (
+            1 <= self.cap_min_quota <= self.num_executors
+        ):
+            raise ValueError(
+                f"cap_min_quota must be in [1, num_executors="
+                f"{self.num_executors}], got {self.cap_min_quota}"
+            )
 
     def with_scheduler(self, name: str) -> "ExperimentConfig":
         return replace(self, scheduler=name)

@@ -157,7 +157,6 @@ def _bench_section(path: str) -> str:
         for key, short in (
             ("frontier_matrix_hit_rate", "matrix"),
             ("frontier_column_hit_rate", "column"),
-            ("ready_cache_hit_rate", "ready"),
         ):
             if s.get(key) is not None:
                 rates.append((f"{s['name']} {short}", float(s[key])))

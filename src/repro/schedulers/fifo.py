@@ -28,15 +28,15 @@ class FIFOScheduler(StageScheduler):
     holds_executors = True
 
     def select(self, view: ClusterView) -> StageChoice | None:
-        for ready in view.ready_stages():  # arrival order, then topo order
-            if ready.slots > 0:
-                # Over-assignment: parallelism limit equals the task count.
-                return StageChoice(
-                    job_id=ready.job_id,
-                    stage_id=ready.stage_id,
-                    parallelism_limit=ready.stage.num_tasks,
-                )
-        return None
+        ready = view.first_assignable()  # arrival order, then topo order
+        if ready is None:
+            return None
+        # Over-assignment: parallelism limit equals the task count.
+        return StageChoice(
+            job_id=ready.job_id,
+            stage_id=ready.stage_id,
+            parallelism_limit=ready.stage.num_tasks,
+        )
 
 
 class KubernetesDefaultScheduler(StageScheduler):
@@ -51,22 +51,20 @@ class KubernetesDefaultScheduler(StageScheduler):
     name = "k8s-default"
 
     def select(self, view: ClusterView) -> StageChoice | None:
-        candidates = [r for r in view.ready_stages() if r.slots > 0]
-        if not candidates:
+        heads = view.job_heads()
+        if not heads:
             return None
         # Fewest executors in use wins; arrival order breaks ties.
         best_job = min(
-            {r.job_id for r in candidates},
+            {r.job_id for r in heads},
             key=lambda job_id: (
                 view.job(job_id).executors_in_use,
                 view.job(job_id).arrival_time,
             ),
         )
-        for ready in candidates:  # already topo-ordered within each job
-            if ready.job_id == best_job:
-                return StageChoice(
-                    job_id=ready.job_id,
-                    stage_id=ready.stage_id,
-                    parallelism_limit=ready.stage.num_tasks,
-                )
-        return None
+        ready = next(r for r in heads if r.job_id == best_job)
+        return StageChoice(
+            job_id=best_job,
+            stage_id=ready.stage_id,
+            parallelism_limit=ready.stage.num_tasks,
+        )

@@ -31,10 +31,10 @@ class WeightedFairScheduler(StageScheduler):
         self.weight_exponent = weight_exponent
 
     def select(self, view: ClusterView) -> StageChoice | None:
-        candidates = [r for r in view.ready_stages() if r.slots > 0]
-        if not candidates:
+        heads = view.job_heads()
+        if not heads:
             return None
-        jobs = {r.job_id for r in candidates}
+        jobs = {r.job_id for r in heads}
         weights = {
             job_id: max(view.job(job_id).remaining_work(), 1e-9)
             ** self.weight_exponent
@@ -53,11 +53,9 @@ class WeightedFairScheduler(StageScheduler):
             # keeps executors busy rather than idling them.
             best_job = min(jobs, key=lambda j: view.job(j).executors_in_use)
         entitlement = max(1, round(usable * weights[best_job] / total_weight))
-        for ready in candidates:
-            if ready.job_id == best_job:
-                return StageChoice(
-                    job_id=ready.job_id,
-                    stage_id=ready.stage_id,
-                    parallelism_limit=min(entitlement, ready.stage.num_tasks),
-                )
-        return None
+        ready = next(r for r in heads if r.job_id == best_job)
+        return StageChoice(
+            job_id=best_job,
+            stage_id=ready.stage_id,
+            parallelism_limit=min(entitlement, ready.stage.num_tasks),
+        )

@@ -10,14 +10,18 @@ DAG per call) and memoizes the per-job aggregates behind monotone version
 counters, so cached values are the exact floats a from-scratch recompute
 would produce — simulation results stay bit-identical.
 
-The frontier has two representations sharing one maintenance scheme:
-:meth:`ClusterView.ready_stages` yields :class:`ReadyStage` tuples (the
-compatibility view FIFO/CAP/GreenHadoop walk), while
-:meth:`ClusterView.frontier_arrays` yields the columnar
-:class:`FrontierArrays` the vectorized probabilistic schedulers operate
-on. Both are backed by engine-shared per-job caches keyed on the job's
-task version and effective executor budget, and both produce bit-equal
-fields for the same frontier.
+The frontier is walked in one order (arrival order across jobs,
+topological order within one), to one of three depths.
+:meth:`ClusterView.first_assignable` stops at the first entry that can take
+an executor: it is the engine's per-grant loop condition and FIFO's whole
+decision. :meth:`ClusterView.job_heads` keeps each job's first such entry,
+all the job-picking schedulers (k8s-default, weighted-fair) read.
+:meth:`ClusterView.ready_stages` is the full :class:`ReadyStage` tuple
+walk. All three are memoized per view. :meth:`ClusterView.frontier_arrays`
+is the full walk's columnar :class:`FrontierArrays` twin for the vectorized
+schedulers, backed by one engine-shared per-job column cache and one
+whole-matrix cache; both forms produce bit-equal fields for the same
+frontier.
 """
 
 from __future__ import annotations
@@ -180,7 +184,7 @@ class JobRuntime:
 
         Two reads with equal versions are guaranteed to observe identical
         per-stage counters and an identical frontier — the dirty-mark the
-        engine's shared ready-stage cache keys on.
+        engine's shared column cache keys on.
         """
         return self._task_version
 
@@ -458,7 +462,6 @@ class ClusterView:
         general_free: int | None = None,
         reserved_free: dict[int, int] | None = None,
         active: Mapping[int, JobRuntime] | None = None,
-        ready_cache: dict[tuple[int, bool], tuple] | None = None,
         column_cache: dict[tuple[int, bool], tuple] | None = None,
         frontier_epoch: int | None = None,
         cache_stats=None,
@@ -476,20 +479,18 @@ class ClusterView:
         #: means "derive from ``jobs``" — the slow path for hand-built views.
         self._active = active
         self._ready_cache: dict[bool, list[ReadyStage]] = {}
-        #: Engine-owned per-job entry cache, shared across consecutive views
-        #: of one run. Keyed by ``(job_id, include_saturated)``; each value
-        #: is ``(task_version, effective_cap, saturation, entries)``. A job
-        #: untouched by launches/finishes whose executor budget is unchanged
-        #: (or saturating, see ready_stages) reuses its entry list verbatim
+        #: Memo of :meth:`job_heads`; until ``_all_heads`` it may hold only
+        #: the first head, as computed by :meth:`first_assignable`.
+        self._heads: list[ReadyStage] | None = None
+        self._all_heads = False
+        #: Engine-owned per-job *columnar* cache, shared across consecutive
+        #: views of one run. Keyed by ``(job_id, include_saturated)``; each
+        #: value is ``(task_version, effective_cap, saturation, block)``
+        #: where ``block`` is the job's ``(n, 8)`` float64 slice of a
+        #: :class:`FrontierArrays` matrix. A job untouched by
+        #: launches/finishes whose executor budget is unchanged (or
+        #: saturating, see frontier_arrays) reuses its block verbatim
         #: instead of re-walking its frontier.
-        self._shared_ready = ready_cache
-        #: Engine-owned per-job *columnar* cache, the array twin of
-        #: ``_shared_ready``: each value is ``(task_version, effective_cap,
-        #: saturation, block)`` where ``block`` is the job's ``(n, 8)``
-        #: float64 slice of a :class:`FrontierArrays` matrix. Maintained
-        #: incrementally under the identical validity rule, so the
-        #: vectorized schedulers never pay for entry-list construction and
-        #: the tuple path never pays for array construction.
         self._shared_columns = column_cache
         self._fa_cache: dict[bool, FrontierArrays] = {}
         #: Blocked pairs in arrival order plus the boolean masks already
@@ -498,7 +499,7 @@ class ClusterView:
         self._blocked_seq: list[tuple[int, int]] = list(blocked)
         self._mask_state: dict[bool, tuple] = {}
         #: Optional :class:`repro.obs.observer.FrontierCacheStats` from the
-        #: owning stepper: hit/miss counters for the shared ready/column/
+        #: owning stepper: hit/miss counters for the shared column and
         #: whole-matrix caches, incremented where each consult resolves.
         #: ``None`` (collection off, or hand-built views) counts nothing.
         self._cache_stats = cache_stats
@@ -553,23 +554,18 @@ class ClusterView:
         Entries blocked earlier in the same scheduling pass (because the
         engine could not grow them) are excluded, which guarantees the
         assignment loop terminates. The result is cached on the view (one
-        list per flag value); both the engine's "anything assignable?" check
-        and the scheduler's own call then share one frontier walk.
+        list per flag value).
         """
         cached = self._ready_cache.get(include_saturated)
         if cached is not None:
             return cached
         out: list[ReadyStage] = []
+        append = out.append
         quota_room = max(0, self.quota - self.busy_executors)
         general_free = self.general_free
         reserved_free = self.reserved_free
         blocked = self._blocked
         per_job_cap = self.per_job_cap
-        # The shared cache is only sound when no entries are suppressed by
-        # the per-pass blocked set (a rare state: the engine could not grow
-        # a chosen stage); fall back to a plain walk then.
-        shared = self._shared_ready if not blocked else None
-        stats = self._cache_stats if shared is not None else None
         for job in self.active_jobs():
             job_id = job.job_id
             job_pool = general_free + (
@@ -583,33 +579,6 @@ class ClusterView:
             )
             if job_headroom < 0:
                 job_headroom = 0
-            # Every field of an entry is a function of the job's task
-            # counters (captured by task_version) and min(budget, headroom)
-            # (captured by effective_cap) — so an unchanged pair means the
-            # previously built entries are the identical tuples a fresh
-            # walk would produce. The cap only enters through clamping
-            # (slots = min(unlaunched, cap)), so two caps that both meet or
-            # exceed every unlaunched count in the frontier (the stored
-            # saturation point) also yield identical entries.
-            effective_cap = budget if budget < job_headroom else job_headroom
-            if shared is not None:
-                hit = shared.get((job_id, include_saturated))
-                if (
-                    hit is not None
-                    and hit[0] == job.task_version
-                    and (
-                        hit[1] == effective_cap
-                        or (hit[1] >= hit[2] and effective_cap >= hit[2])
-                    )
-                ):
-                    if stats is not None:
-                        stats.ready_hits.inc()
-                    out.extend(hit[3])
-                    continue
-                if stats is not None:
-                    stats.ready_misses.inc()
-            entries: list[ReadyStage] = []
-            append = entries.append
             stages = job.stages
             for sid in job.ready_stage_ids(include_running=include_saturated):
                 if blocked and (job_id, sid) in blocked:
@@ -617,6 +586,10 @@ class ClusterView:
                 runtime = stages[sid]
                 stage = runtime.stage
                 unlaunched = stage.num_tasks - runtime.launched
+                # The slot rule: unlaunched tasks, clamped by the quota
+                # room, the job's free pool and its per-job headroom.
+                # frontier_arrays and _assignable_heads apply it inline in
+                # their hot loops; change all three together.
                 slots = min(unlaunched, budget, job_headroom)
                 if slots <= 0:
                     if not include_saturated and unlaunched <= 0:
@@ -635,14 +608,6 @@ class ClusterView:
                         slots,
                     )
                 )
-            if shared is not None:
-                saturation = max(
-                    (entry.unlaunched for entry in entries), default=0
-                )
-                shared[(job_id, include_saturated)] = (
-                    job.task_version, effective_cap, saturation, entries,
-                )
-            out.extend(entries)
         self._ready_cache[include_saturated] = out
         return out
 
@@ -654,10 +619,9 @@ class ClusterView:
         with the per-job aggregates (bottleneck score, remaining work,
         executors in use) the vectorized schedulers consume. Per-job
         blocks are maintained incrementally in the engine-shared column
-        cache under the exact validity rule the entry-list cache uses
-        (task version + effective executor budget with saturation
-        normalization), so consecutive views rebuild only the jobs that
-        launched or finished tasks in between. Cached per view, like
+        cache, keyed on task version + effective executor budget with
+        saturation normalization, so consecutive views rebuild only the
+        jobs that launched or finished tasks in between. Cached per view, like
         :meth:`ready_stages`.
         """
         cached = self._fa_cache.get(include_saturated)
@@ -716,6 +680,15 @@ class ClusterView:
             )
             if job_headroom < 0:
                 job_headroom = 0
+            # Every field of a row is a function of the job's task counters
+            # (captured by task_version), its aggregates (which move only
+            # with those counters) and min(budget, headroom) (captured by
+            # effective_cap) — so an unchanged pair means the stored block
+            # is the identical matrix a fresh walk would produce. The cap
+            # only enters through clamping (slots = min(unlaunched, cap)),
+            # so two caps that both meet or exceed every unlaunched count
+            # in the frontier (the stored saturation point) also yield
+            # identical rows.
             effective_cap = budget if budget < job_headroom else job_headroom
             if shared is not None:
                 hit = shared.get((job_id, include_saturated))
@@ -750,6 +723,7 @@ class ClusterView:
                 unlaunched = runtime.stage.num_tasks - runtime.launched
                 if unlaunched > saturation:
                     saturation = unlaunched
+                # The slot rule; see ready_stages.
                 slots = min(unlaunched, budget, job_headroom)
                 rows.append(
                     (
@@ -792,9 +766,8 @@ class ClusterView:
 
         Entries blocked earlier in this scheduling pass are dropped at the
         view level, so both the per-job cached blocks and the whole-matrix
-        cache stay valid (unlike the tuple path, which must bypass its
-        cache when anything is blocked). The blocked set is tiny; the mask
-        conjunction is order-independent.
+        cache stay valid. The blocked set is tiny; the mask conjunction is
+        order-independent.
         """
         seq = self._blocked_seq
         if seq and len(data):
@@ -831,37 +804,91 @@ class ClusterView:
         self._blocked_seq.append((job_id, stage_id))
         self._ready_cache.clear()
         self._fa_cache.clear()
+        self._heads = None
+        self._all_heads = False
 
-    def has_assignable(self) -> bool:
-        """True iff any ready stage could receive an executor right now.
+    def first_assignable(self) -> ReadyStage | None:
+        """The first entry of :meth:`ready_stages` with ``slots > 0``.
 
-        Exactly equivalent to ``any(r.slots > 0 for r in ready_stages())``
-        but short-circuits on the first hit instead of materializing the
-        frontier — this is the engine's per-grant loop condition.
+        Same walk order, blocked pairs and slot arithmetic, but it stops at
+        the first hit instead of materializing the frontier. Memoized on
+        the view, so the engine's loop condition and FIFO's choice share
+        one walk.
         """
+        if self._heads is None:
+            self._heads = self._assignable_heads(limit=1)
+        return self._heads[0] if self._heads else None
+
+    def job_heads(self) -> list[ReadyStage]:
+        """Each job's first entry of :meth:`ready_stages` with ``slots > 0``.
+
+        One entry per job that can take an executor, in arrival order: all
+        the job-picking schedulers (k8s-default, weighted-fair) read, at
+        one entry per backlogged job instead of one per stage. Memoized.
+        """
+        if not self._all_heads:
+            self._heads = self._assignable_heads(limit=None)
+            self._all_heads = True
+        return self._heads
+
+    def _assignable_heads(self, limit: int | None) -> list[ReadyStage]:
+        """Walk jobs in arrival order, keeping each one's first open entry.
+
+        Stops after ``limit`` entries (``None``: every job). Applies
+        :meth:`ready_stages`'s slot rule inline.
+        """
+        out: list[ReadyStage] = []
         quota_room = self.quota - self.busy_executors
         if quota_room <= 0:
-            return False
+            return out
         general_free = self.general_free
         reserved_free = self.reserved_free
         blocked = self._blocked
         per_job_cap = self.per_job_cap
         for job in self.active_jobs():
             job_id = job.job_id
-            job_pool = general_free + (
+            cap = general_free + (
                 reserved_free.get(job_id, 0) if reserved_free else 0
             )
-            if job_pool <= 0:
+            if cap > quota_room:
+                cap = quota_room
+            if per_job_cap is not None:
+                headroom = per_job_cap - job.executors_in_use
+                if headroom < cap:
+                    cap = headroom
+            if cap <= 0:
                 continue
-            if per_job_cap is not None and per_job_cap <= job.executors_in_use:
+            ids = job.ready_stage_ids()
+            if blocked:
+                ids = [sid for sid in ids if (job_id, sid) not in blocked]
+            if not ids:
                 continue
-            for sid in job.ready_stage_ids():
-                # The assignable frontier guarantees unlaunched > 0, so a
-                # non-blocked entry here has slots > 0.
-                if blocked and (job_id, sid) in blocked:
-                    continue
-                return True
-        return False
+            # The assignable frontier guarantees unlaunched > 0, so the
+            # first non-blocked entry has slots > 0.
+            runtime = job.stages[ids[0]]
+            launched = runtime.launched
+            unlaunched = runtime.stage.num_tasks - launched
+            out.append(
+                ReadyStage(
+                    job_id,
+                    ids[0],
+                    runtime.stage,
+                    unlaunched,
+                    launched - runtime.finished,
+                    unlaunched if unlaunched < cap else cap,
+                )
+            )
+            if limit is not None and len(out) == limit:
+                break
+        return out
+
+    def has_assignable(self) -> bool:
+        """True iff any ready stage could receive an executor right now.
+
+        The engine's per-grant loop condition; the walk it runs is
+        :meth:`first_assignable`'s, memoized for the scheduler.
+        """
+        return self.first_assignable() is not None
 
     def queued_job_count(self) -> int:
         if self._active is not None:

@@ -132,6 +132,33 @@ def assert_valid_schedule(result, submissions) -> None:
             assert later.start >= earlier.end - 1e-9
 
 
+def assert_first_assignable_matches(view) -> None:
+    """``first_assignable()`` is the first ``ready_stages()`` entry with
+    ``slots > 0`` and ``job_heads()`` is each job's first such entry, and
+    both stay so as ``block()`` hides entries one at a time (each block
+    must reset both memos). Alternates which of the two is asked first,
+    since ``first_assignable`` reuses computed heads. Mutates the view's
+    blocked set, so pass a view nothing else reads."""
+    step = 0
+    while True:
+        open_entries = [r for r in view.ready_stages() if r.slots > 0]
+        heads, seen = [], set()
+        for r in open_entries:
+            if r.job_id not in seen:
+                seen.add(r.job_id)
+                heads.append(r)
+        expected = open_entries[0] if open_entries else None
+        if step % 2:
+            assert view.job_heads() == heads
+        assert view.first_assignable() == expected
+        assert view.job_heads() == heads
+        assert view.has_assignable() == (expected is not None)
+        if expected is None:
+            return
+        view.block(expected.job_id, expected.stage_id)
+        step += 1
+
+
 def total_work(submissions) -> float:
     return sum(s.dag.total_work for s in submissions)
 

@@ -96,6 +96,33 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "2.00" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "fifo", "--jobs", "0"], "num_jobs must be positive"),
+            (["run", "fifo", "--executors", "0"], "num_executors must be >= 1"),
+            (["run", "pcaps", "--gamma", "2"], "gamma must be in [0, 1]"),
+            (["sweep", "B", "--values", "500"], "cap_min_quota must be in"),
+            (["sweep", "B", "--values", "4", "0"], "cap_min_quota must be in"),
+            (["sweep", "gamma", "--values", "0.5", "1.5"], "gamma must be in"),
+            (["sweep", "gamma", "--jobs", "0"], "num_jobs must be positive"),
+            (["sweep", "B", "--baseline", "nope"], "unknown scheduler"),
+        ],
+    )
+    def test_bad_numbers_fail_before_any_trial(
+        self, capsys, monkeypatch, argv, message
+    ):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        for name in ("run_matchup", "pcaps_gamma_sweep", "cap_b_sweep"):
+            monkeypatch.setattr(f"repro.cli.{name}", no_trials)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid experiment: ")
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestCampaignCommands:
     def test_campaign_requires_subcommand(self):
@@ -129,6 +156,15 @@ class TestCampaignCommands:
         argv = ["campaign", "run", "demo", "--store", str(store)]
         assert main(argv + ["--executors", executors, "--workers", "0"]) == 2
         assert "num_executors must be >= 1" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_campaign_scaled_below_swept_quota_rejected(self, tmp_path, capsys):
+        # fig12 sweeps CAP's B up to 20; at 10 executors B=12 is invalid.
+        store = tmp_path / "never-written.jsonl"
+        argv = ["campaign", "run", "fig12", "--store", str(store)]
+        assert main(argv + ["--executors", "10", "--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid campaign scaling: cap_min_quota must be in" in err
         assert not store.exists()
 
     @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 """Tests for the disruption & resilience subsystem (``repro.disrupt``)."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from repro.campaign.geo import geo_presets
 from repro.carbon.api import CarbonIntensityAPI
 from repro.disrupt import (
     DisruptionEvent,
@@ -530,6 +532,66 @@ class TestDisruptedFederation:
         assert report.rerouted_jobs == len(result.reroutes)
         assert report.migrated_jobs == result.migrated_jobs()
         assert report.jobs_completed == 6
+
+    def test_job_returning_to_a_region_keeps_its_preempted_attempts(self):
+        """A legal schedule a stay-unaware auditor misreads.
+
+        The ``disrupt-sweep`` trial (round-robin, failover and migration on,
+        seed 1) under this schedule routes job 2 to caiso, where caiso's
+        outage preempts both of its first-stage tasks. The job migrates to
+        on, then back to caiso when on goes down. Caiso records the job's
+        arrival as the second migration, while its trace keeps the
+        preempted attempts from the first stay, which started earlier.
+        """
+        schedule = DisruptionSchedule.generate(
+            seed=3171731664,
+            regions=("de", "on", "caiso"),
+            horizon_s=270.0,
+            num_outages=2,
+            mean_outage_s=600.0,
+            num_curtailments=1,
+            num_blackouts=1,
+        )
+        config = replace(
+            geo_presets()["disrupt-sweep"].base,
+            routing="round-robin",
+            failover=True,
+            migrate=True,
+            seed=1,
+            disruptions=schedule,
+        )
+        result = run_federation(config)
+
+        route = [d.region for d in result.decisions if d.job_id == 2]
+        route += [m.to_region for m in result.migrations if m.job_id == 2]
+        assert route == ["caiso", "on", "caiso"]
+        first_move: dict[int, float] = {}
+        for m in result.migrations:
+            first_move.setdefault(m.job_id, m.time)
+
+        finished_in: dict[int, list[str]] = {}
+        early = []
+        for region in result.regions:
+            regional = region.result
+            for job_id in regional.finishes:
+                finished_in.setdefault(job_id, []).append(region.name)
+            for task in regional.trace.tasks:
+                arrival = regional.arrivals.get(task.job_id, math.inf)
+                if task.start >= arrival:
+                    continue
+                # Only a wasted attempt from an earlier stay may precede
+                # the job's arrival here, and that stay ended when the
+                # job first migrated away.
+                assert task.preempted, (region.name, task)
+                assert task.end <= first_move[task.job_id]
+                early.append((region.name, task.job_id))
+        assert ("caiso", 2) in early
+        caiso = next(r.result for r in result.regions if r.name == "caiso")
+        moves = [m.time for m in result.migrations if m.job_id == 2]
+        assert caiso.arrivals[2] == moves[1]
+        assert caiso.finishes[2] > moves[1]
+        assert all(len(regions) == 1 for regions in finished_in.values())
+        assert sorted(finished_in) == sorted(d.job_id for d in result.decisions)
 
 
 class TestDisruptionMatchup:

@@ -73,6 +73,25 @@ class TestRunner:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("gamma", 1.5, "gamma must be in"),
+            ("gamma", -0.1, "gamma must be in"),
+            ("gamma", float("nan"), "gamma must be in"),
+            ("gh_theta", 2.0, "gh_theta must be in"),
+            ("cap_min_quota", 0, "cap_min_quota must be in"),
+            ("cap_min_quota", 51, "cap_min_quota must be in"),
+        ],
+    )
+    def test_config_rejects_out_of_range_knobs(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{field: value})
+
+    def test_config_accepts_knob_bounds(self):
+        ExperimentConfig(gamma=0.0, gh_theta=1.0, cap_min_quota=1)
+        ExperimentConfig(gamma=1.0, gh_theta=0.0, cap_min_quota=50)
+
     @pytest.mark.parametrize("name", SCHEDULER_NAMES)
     def test_every_scheduler_builds_and_runs(self, name):
         config = small_config(scheduler=name)

@@ -9,7 +9,8 @@ Three layers of guarantees:
   preempt interleavings through views sharing one engine-style column
   cache (with the engine's frontier-epoch discipline) and asserts the
   incrementally maintained arrays stay bit-equal to a from-scratch
-  rebuild at every step;
+  rebuild at every step, and that ``first_assignable`` and ``job_heads``
+  are the first assignable tuple entry overall and per job;
 - path-equivalence tests check the vectorized sampling entry points of
   :class:`~repro.simulator.interfaces.ProbabilisticPolicy` draw the exact
   same schedule as the tuple path (`test_fingerprints.py` additionally
@@ -24,6 +25,8 @@ from repro.carbon.api import CarbonReading
 from repro.dag.graph import JobDAG, Stage, diamond_dag
 from repro.schedulers.decima import DecimaScheduler
 from repro.simulator.state import ClusterView, FrontierArrays, JobRuntime
+
+from conftest import assert_first_assignable_matches
 
 
 def reading():
@@ -67,6 +70,7 @@ def build_view(
     column_cache=None,
     frontier_epoch=None,
     general_free=None,
+    reserved_free=None,
 ):
     return ClusterView(
         time=0.0,
@@ -78,6 +82,7 @@ def build_view(
         per_job_cap=per_job_cap,
         blocked=blocked,
         general_free=general_free,
+        reserved_free=reserved_free,
         active=active,
         column_cache=column_cache,
         frontier_epoch=frontier_epoch,
@@ -355,3 +360,20 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops, view_seed):
             )
             assert_same_matrix(revisit.frontier_arrays(flag), reference)
             assert revisit.ready_stages(flag) == reference.entries()
+        # The short-circuit and per-job-head walks agree with the tuple
+        # walk, also under a binding quota and hoarded (reserved) executors.
+        assert_first_assignable_matches(build_view(jobs, active=active, **kwargs))
+        owners = sorted(active) or [0]
+        assert_first_assignable_matches(
+            build_view(
+                jobs,
+                active=active,
+                quota=busy + int(op_rng.integers(0, 3)),
+                reserved_free={
+                    owners[int(op_rng.integers(len(owners)))]: int(
+                        op_rng.integers(0, 4)
+                    )
+                },
+                **kwargs,
+            )
+        )

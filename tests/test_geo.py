@@ -405,45 +405,3 @@ class TestStepperEquivalence:
         stepper.run_to_completion()
         assert stepper.busy_executors == 0
         assert stepper.outstanding_work() == 0.0
-
-
-class TestSharedReadyCache:
-    """The dirty-marked frontier cache cannot change results."""
-
-    @pytest.mark.parametrize("scheduler", ["pcaps", "cap-fifo", "decima"])
-    def test_cache_disabled_is_bit_identical(self, scheduler):
-        config = ExperimentConfig(
-            scheduler=scheduler, num_executors=5,
-            workload=tiny_workload(8), seed=4,
-        )
-        from repro.carbon.api import CarbonIntensityAPI
-        from repro.experiments.runner import (
-            build_scheduler,
-            carbon_trace_for,
-            workload_for,
-        )
-        from repro.simulator.engine import ClusterConfig, Simulation
-
-        trace = carbon_trace_for(config)
-        subs = workload_for(config)
-
-        def run(disable_cache: bool):
-            sched, provisioner = build_scheduler(config, trace)
-            stepper = Simulation(
-                config=ClusterConfig(num_executors=5),
-                scheduler=sched,
-                carbon_api=CarbonIntensityAPI(trace),
-                provisioner=provisioner,
-            ).stepper()
-            if disable_cache:
-                stepper._ready_cache = None  # ClusterView falls back
-            for sub in subs:
-                stepper.submit(sub)
-            stepper.run_to_completion()
-            return stepper.result()
-
-        with_cache, without_cache = run(False), run(True)
-        assert list(with_cache.trace.tasks) == list(without_cache.trace.tasks)
-        assert repr(with_cache.carbon_footprint) == repr(
-            without_cache.carbon_footprint
-        )

@@ -8,6 +8,8 @@ from repro.dag.graph import JobDAG, Stage, diamond_dag
 from repro.dag.metrics import bottleneck_scores
 from repro.simulator.state import ClusterView, JobRuntime, StageRuntime
 
+from conftest import assert_first_assignable_matches
+
 
 def reading(intensity=100.0, low=50.0, high=200.0, time=0.0):
     return CarbonReading(
@@ -165,24 +167,65 @@ class TestClusterView:
         view = make_view([job], busy=3, total=4, quota=3)
         assert view.assignable_executors == 0
 
-    def test_has_assignable_matches_ready_stages(self):
+    def test_first_assignable_matches_ready_stages(self):
         job = JobRuntime(0, diamond_dag(num_tasks=2), arrival_time=0.0)
         view = make_view([job], busy=0, total=4)
-        assert view.has_assignable() == any(
-            r.slots > 0 for r in view.ready_stages()
-        )
+        first = view.first_assignable()
+        assert first == view.ready_stages()[0]
+        assert (first.job_id, first.stage_id, first.slots) == (0, 0, 2)
+        assert view.has_assignable()
         job2 = JobRuntime(0, diamond_dag(num_tasks=2), arrival_time=0.0)
         job2.stages[0].launch(2)  # root saturated: nothing assignable
         view = make_view([job2], busy=2, total=4)
+        assert view.first_assignable() is None
         assert not view.has_assignable()
         assert not any(r.slots > 0 for r in view.ready_stages())
 
-    def test_has_assignable_respects_blocked_and_quota(self):
+    def test_first_assignable_respects_blocked_and_quota(self):
         job = JobRuntime(0, JobDAG([Stage(0, 5, 1.0)]), arrival_time=0.0)
         view = make_view([job], blocked=frozenset({(0, 0)}))
+        assert view.first_assignable() is None
         assert not view.has_assignable()
         view = make_view([job], busy=4, total=4)
-        assert not view.has_assignable()
+        assert view.first_assignable() is None
+        view = make_view([job], busy=1, total=4, quota=3)
+        assert view.first_assignable().slots == 2
+
+    def test_first_assignable_memo_resets_on_block(self):
+        # Root done: stages 1 and 2 are both assignable.
+        job = JobRuntime(0, diamond_dag(num_tasks=2), arrival_time=0.0)
+        job.stages[0].launch(2)
+        job.record_task_finish(0, now=1.0)
+        job.record_task_finish(0, now=1.0)
+        view = make_view([job], busy=0, total=4)
+        first = view.first_assignable()
+        assert view.first_assignable() is first  # memoized
+        view.block(first.job_id, first.stage_id)
+        second = view.first_assignable()
+        assert second is not None and second.stage_id != first.stage_id
+        assert second == next(r for r in view.ready_stages() if r.slots > 0)
+
+    def test_job_heads_keep_each_open_jobs_first_entry(self):
+        # Job 1: root done, stages 1 and 2 open. Job 2: fresh, root open.
+        # Job 3: at its per-job cap.
+        j1 = JobRuntime(1, diamond_dag(num_tasks=2), arrival_time=0.0)
+        j1.stages[0].launch(2)
+        j1.record_task_finish(0, now=1.0)
+        j1.record_task_finish(0, now=1.0)
+        j2 = JobRuntime(2, diamond_dag(num_tasks=2), arrival_time=1.0)
+        j3 = JobRuntime(3, diamond_dag(num_tasks=4), arrival_time=2.0)
+        j3.stages[0].launch(2)
+        view = make_view([j1, j2, j3], busy=2, total=8, per_job_cap=2)
+        heads = view.job_heads()
+        assert [(r.job_id, r.stage_id, r.slots) for r in heads] == [
+            (1, 1, 2), (2, 0, 2),
+        ]
+        assert view.job_heads() is heads  # memoized
+        assert view.first_assignable() is heads[0]
+        view.block(1, 1)
+        assert [(r.job_id, r.stage_id) for r in view.job_heads()] == [
+            (1, 2), (2, 0),
+        ]
 
     def test_engine_active_mapping_drives_iteration_order(self):
         j1 = JobRuntime(1, diamond_dag(), arrival_time=5.0)
@@ -259,6 +302,26 @@ class TestIncrementalFrontierProperty:
             assert job.bottleneck_scores() == bottleneck_scores(
                 dag, job.completed_stages
             )
+            # The short-circuit and per-job-head walks agree with the tuple
+            # walk under quota, per-job cap, reserved-pool and blocked limits.
+            frontier = job.ready_stage_ids(include_running=True)
+            for _ in range(3):
+                total = rng.randint(1, 6)
+                busy = rng.randint(0, total)
+                assert_first_assignable_matches(
+                    make_view(
+                        [job],
+                        busy=busy,
+                        total=total,
+                        quota=rng.randint(0, total),
+                        per_job_cap=rng.choice([None, 1, 2, 3]),
+                        blocked=frozenset(
+                            (0, sid) for sid in frontier if rng.random() < 0.25
+                        ),
+                        general_free=rng.randint(0, total - busy),
+                        reserved_free={rng.randint(0, 1): rng.randint(0, 2)},
+                    )
+                )
 
         check()
         while not job.done:
