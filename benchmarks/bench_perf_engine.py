@@ -32,12 +32,13 @@ from _report import emit, run_once
 #: anchor for the speedup gate below.
 POST_REFACTOR_FIFO_200_S = 0.114
 
-#: The pcaps-200 speedup gate. The vectorized FrontierArrays scheduler
-#: path measures ~9.3× vs the pre-refactor engine (best-of-3 on the
-#: recording container); the floor is set a margin below that so machine
-#: noise doesn't flake the gate while regressions to the previous ~6.3×
-#: level still fail it.
-PCAPS_200_SPEEDUP_FLOOR = 8.0
+#: The pcaps-200 speedup gate. With the per-pass scoring session serving
+#: PCAPS's blocked retries, the gate measures 11.1-11.2× vs the
+#: pre-refactor engine (best-of-3, three runs on a 2-CPU container; the
+#: parent commit measured 7.99× there); the floor is set ~15% below that
+#: so machine noise doesn't flake the gate while regressions to the
+#: previous ~8-9.3× level still fail it.
+PCAPS_200_SPEEDUP_FLOOR = 9.4
 
 #: Noise control for the gate: wall times are best-of-N re-measurements of
 #: the two scenarios entering the speedup ratio (the single-shot suite run

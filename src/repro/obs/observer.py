@@ -35,17 +35,21 @@ TRACE_FILENAME = "trace.json"
 
 
 class FrontierCacheStats:
-    """Hit/miss counters for the engine's two shared frontier caches.
+    """Hit/miss counters for the engine's two shared frontier caches, plus
+    the sampling policies' per-pass scoring-session outcomes.
 
     One instance per stepper, handed to every :class:`ClusterView` it
     builds; the view increments whichever counter matches the cache
-    consult it just resolved. ``None`` in the view means "don't count"
-    (the obs-off fast path).
+    consult it just resolved, and a probabilistic policy counts each
+    blocked retry its scoring session served (``session_reuses``) or
+    handed back to a full rescore (``session_fallbacks``). ``None`` in
+    the view means "don't count" (the obs-off fast path).
     """
 
     __slots__ = (
         "column_hits", "column_misses",
         "matrix_hits", "matrix_misses",
+        "session_reuses", "session_fallbacks",
     )
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -53,6 +57,10 @@ class FrontierCacheStats:
         self.column_misses = registry.counter("engine.cache.column.misses")
         self.matrix_hits = registry.counter("engine.cache.matrix.hits")
         self.matrix_misses = registry.counter("engine.cache.matrix.misses")
+        self.session_reuses = registry.counter("engine.cache.session.reuses")
+        self.session_fallbacks = registry.counter(
+            "engine.cache.session.fallbacks"
+        )
 
 
 def hit_rate(

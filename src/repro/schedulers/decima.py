@@ -165,6 +165,13 @@ class DecimaScheduler(ProbabilisticPolicy):
             self._score_cache = (data, raw, denominator)
         return raw
 
+    def _coupled_rows(self, frontier: FrontierArrays) -> np.ndarray:
+        """Rows holding the SRPT denominator, the only cross-row term of
+        :meth:`scores_from_arrays`: while none is blocked, every other
+        row's score keeps bit-identical inputs."""
+        remaining = frontier.remaining_work
+        return remaining >= max(float(remaining.max()), 1e-9)
+
     def parallelism_limit(self, view: ClusterView, choice: ReadyStage) -> int:
         """Split the cluster among active jobs (Decima's learned moderation).
 

@@ -845,7 +845,7 @@ class SimulationStepper:
                     jobs=jobs,
                     carbon=reading,
                     per_job_cap=config.per_job_executor_cap,
-                    blocked=frozenset(blocked),
+                    blocked=blocked,
                     general_free=pool.general_free,
                     reserved_free=pool.reserved_counts(),
                     active=active,

@@ -108,15 +108,17 @@ class ScoreRequest:
         unfiltered = frontier.parent_data is None
         if assignable.size == 0:
             if unfiltered:
-                policy._dist_cache = (frontier.data, None, assignable)
+                policy._dist_cache = (frontier.data, None, None, assignable)
             return None
-        probs = policy._softmax(policy._raw_scores(view, frontier))
+        # _softmax, with the exp-weights kept for the scoring session.
+        weights = policy._exp_weights(policy._raw_scores(view, frontier))
+        probs = weights / weights.sum()
         # Only unfiltered matrices repeat across calls (mid-pass filtered
         # retries are one-shot); caching them would evict the reusable
         # entry.
         if unfiltered:
-            policy._dist_cache = (frontier.data, probs, assignable)
-        return policy._finish_sample(frontier, probs, assignable)
+            policy._dist_cache = (frontier.data, weights, probs, assignable)
+        return policy._finish_sample(view, frontier, weights, probs, assignable)
 
 
 def drive_select(gen):
@@ -132,6 +134,11 @@ def drive_select(gen):
             request = gen.send(request.resolve())
     except StopIteration as stop:
         return stop.value
+
+
+#: What :meth:`ProbabilisticPolicy._resample_blocked` returns when a
+#: blocked retry must rescore the frontier.
+_RESCORE = object()
 
 
 @dataclass(frozen=True)
@@ -212,13 +219,28 @@ class ProbabilisticPolicy(StageScheduler):
         self.temperature = temperature
         self._seed = seed
         self._rng = np.random.default_rng(seed)
-        # (matrix object, probs, assignable) of the last columnar frontier
-        # scored; see sample_with_importance.
+        # (matrix object, exp-weights, probs, assignable) of the last
+        # columnar frontier scored; see sample_with_importance.
         self._dist_cache: tuple | None = None
+        # The last columnar draw, (view, blocked count, (job, stage), row,
+        # frontier, exp-weights), and the scoring session opened on its
+        # frontier; see sample_with_importance_gen.
+        self._last: tuple | None = None
+        self._session: tuple | None = None
 
     def reset(self) -> None:
         self._rng = np.random.default_rng(self._seed)
         self._dist_cache = None
+        self._last = None
+        self._session = None
+
+    def __getstate__(self) -> dict:
+        # The last draw and its session belong to one grant pass's view
+        # (which holds the engine's caches and obs probes); a restored run
+        # builds new views, so neither could be used again.
+        state = self.__dict__.copy()
+        state["_last"] = state["_session"] = None
+        return state
 
     @abc.abstractmethod
     def scores(self, view: ClusterView, ready: list[ReadyStage]) -> np.ndarray:
@@ -251,6 +273,15 @@ class ProbabilisticPolicy(StageScheduler):
         :class:`~repro.schedulers.decima.DecimaScheduler`)."""
         return self.scores_from_arrays(view, frontier)
 
+    def _coupled_rows(self, frontier: FrontierArrays) -> np.ndarray | None:
+        """Rows whose removal can change another row's raw score.
+
+        The scoring session reuses a pass's scores across blocked retries
+        only while no such row is blocked. ``None`` (the default) says the
+        coupling is unknown, so every blocked retry rescores the frontier.
+        """
+        return None
+
     def parallelism_limit(self, view: ClusterView, choice: ReadyStage) -> int:
         """Parallelism limit for a chosen stage (default: all its tasks)."""
         return choice.stage.num_tasks
@@ -261,10 +292,15 @@ class ProbabilisticPolicy(StageScheduler):
         One function on purpose: the float operation order is part of the
         bit-identity contract between the tuple and columnar paths.
         """
+        weights = self._exp_weights(raw)
+        return weights / weights.sum()
+
+    def _exp_weights(self, raw: np.ndarray) -> np.ndarray:
+        """The softmax numerators. The rows holding the scaled maximum
+        weigh exactly ``exp(0.0) == 1.0``."""
         scaled = raw / self.temperature
         scaled -= scaled.max()
-        weights = np.exp(scaled)
-        return weights / weights.sum()
+        return np.exp(scaled)
 
     def distribution(
         self, view: ClusterView, ready: list[ReadyStage]
@@ -298,35 +334,104 @@ class ProbabilisticPolicy(StageScheduler):
         """
         return drive_select(self.sample_with_importance_gen(view))
 
+    def _draw(self, probs: np.ndarray, rows: np.ndarray) -> int:
+        """Renormalize the assignable slice ``probs`` and draw one of
+        ``rows``: the action-mask tail every columnar resolution path
+        shares. One function on purpose — its float-operation order is
+        part of the bit-identity contract."""
+        total = probs.sum()
+        if total <= 0:
+            probs = np.full(len(rows), 1.0 / len(rows))
+        else:
+            probs = probs / total
+        return int(rows[_sample_index(self._rng, probs)])
+
     def _finish_sample(
         self,
+        view: ClusterView,
         full: FrontierArrays,
+        weights: np.ndarray,
         probs: np.ndarray,
         assignable: np.ndarray,
     ) -> tuple[ReadyStage, float]:
-        """The action-mask sampling tail shared by every resolution path:
-        renormalize the assignable slice, draw, compute the Definition 4.2
-        importance. One function on purpose — its float-operation order is
-        part of the bit-identity contract."""
-        weights = probs[assignable]
-        total = weights.sum()
-        if total <= 0:
-            weights = np.full(len(assignable), 1.0 / len(assignable))
-        else:
-            weights = weights / total
-        pick = int(assignable[_sample_index(self._rng, weights)])
+        """Draw under the action mask, compute the Definition 4.2
+        importance, and remember the draw for a blocked retry."""
+        pick = self._draw(probs[assignable], assignable)
         peak = probs.max()
         importance = float(probs[pick] / peak) if peak > 0 else 1.0
-        return full.entry(pick), importance
+        entry = full.entry(pick)
+        self._last = (
+            view, len(view.blocked_pairs), (entry.job_id, entry.stage_id),
+            pick, full, weights,
+        )
+        return entry, importance
+
+    def _resample_blocked(self, view: ClusterView, last: tuple):
+        """A blocked retry's draw from the pass's scoring session.
+
+        ``last`` is the previous draw on ``view``, and the engine has
+        blocked exactly that pick since. The session, opened here on the
+        first such block it can serve, keeps the drawn frontier's exp-weights and masks
+        out each blocked row. The surviving rows' weights are then the
+        floats a rescore of the filtered frontier would compute, as long
+        as no blocked row held the scaled maximum (``weight == 1.0``) or a
+        cross-row score term (:meth:`_coupled_rows`); such a block returns
+        ``_RESCORE``. The draw repeats the rescore's operations: the
+        surviving sum, the assignable renormalization, one
+        :func:`_sample_index` draw. The peak probability is ``1 / total``
+        exactly, since the surviving maximum weight is ``1.0``.
+        """
+        _, blocks, _, row, base, weights = last
+        stats = view.cache_stats
+        session = self._session
+        if session is None or session[0] is not base:
+            # Opened lazily, on a first block it can serve: a pass that
+            # never blocks, or first blocks its top row, pays nothing.
+            coupled = None if weights[row] == 1.0 else self._coupled_rows(base)
+            session = self._session = None if coupled is None else (
+                base,
+                np.ones(len(base), dtype=bool),  # rows not blocked
+                base.slots > 0,  # rows not blocked and assignable
+                coupled | (weights == 1.0),  # rows a block must rescore
+            )
+        if session is None or session[3][row]:
+            self._session = None
+            if stats is not None:
+                stats.session_fallbacks.inc()
+            return _RESCORE
+        if stats is not None:
+            stats.session_reuses.inc()
+        keep, open_rows = session[1], session[2]
+        keep[row] = False
+        open_rows[row] = False
+        rows = np.flatnonzero(open_rows)
+        if rows.size == 0:
+            return None
+        total = weights[keep].sum()
+        pick = self._draw(weights[rows] / total, rows)
+        importance = float(weights[pick] / total / (1.0 / total))
+        entry = base.entry(pick)
+        self._last = (
+            view, blocks + 1, (entry.job_id, entry.stage_id),
+            pick, base, weights,
+        )
+        return entry, importance
 
     def sample_with_importance_gen(self, view: ClusterView):
         """Generator form of :meth:`sample_with_importance`.
 
         Yields one :class:`ScoreRequest` on a distribution-cache miss;
         cache hits (deferral streaks re-sampling an unchanged frontier)
-        never yield.
+        and blocked retries the scoring session serves never yield.
         """
         if self.vectorized:
+            last, self._last = self._last, None
+            if last is not None and last[0] is view:
+                pairs = view.blocked_pairs
+                if len(pairs) == last[1] + 1 and pairs[-1] == last[2]:
+                    sampled = self._resample_blocked(view, last)
+                    if sampled is not _RESCORE:
+                        return sampled
             full = view.frontier_arrays(include_saturated=True)
             cache = self._dist_cache
             if cache is not None and cache[0] is full.data:
@@ -334,10 +439,12 @@ class ProbabilisticPolicy(StageScheduler):
                 # finished in between — e.g. a deferral streak across
                 # carbon steps): the distribution is unchanged; only the
                 # RNG advances.
-                probs, assignable = cache[1], cache[2]
+                weights, probs, assignable = cache[1], cache[2], cache[3]
                 if assignable.size == 0:
                     return None
-                return self._finish_sample(full, probs, assignable)
+                return self._finish_sample(
+                    view, full, weights, probs, assignable
+                )
             return (yield ScoreRequest(self, view, full, "sample"))
         full = view.ready_stages(include_saturated=True)
         assignable = [i for i, r in enumerate(full) if r.slots > 0]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -458,7 +458,7 @@ class ClusterView:
         jobs: dict[int, JobRuntime],
         carbon: CarbonReading,
         per_job_cap: int | None = None,
-        blocked: frozenset[tuple[int, int]] = frozenset(),
+        blocked: Iterable[tuple[int, int]] = (),
         general_free: int | None = None,
         reserved_free: dict[int, int] | None = None,
         active: Mapping[int, JobRuntime] | None = None,
@@ -473,14 +473,16 @@ class ClusterView:
         self.carbon = carbon
         self.per_job_cap = per_job_cap
         self._jobs = jobs
-        self._blocked = blocked
+        #: Pairs the engine could not grow this pass; the view owns the
+        #: set, and block() adds to it.
+        self._blocked = set(blocked)
         #: Arrival-ordered mapping of not-yet-finished jobs, maintained by
         #: the engine (arrival events insert, completions delete). ``None``
         #: means "derive from ``jobs``" — the slow path for hand-built views.
         self._active = active
         self._ready_cache: dict[bool, list[ReadyStage]] = {}
-        #: Memo of :meth:`job_heads`; until ``_all_heads`` it may hold only
-        #: the first head, as computed by :meth:`first_assignable`.
+        #: Memo of :meth:`job_heads`; until ``_all_heads`` only its first
+        #: entry, :meth:`first_assignable`'s, is valid.
         self._heads: list[ReadyStage] | None = None
         self._all_heads = False
         #: Engine-owned per-job *columnar* cache, shared across consecutive
@@ -496,13 +498,14 @@ class ClusterView:
         #: Blocked pairs in arrival order plus the boolean masks already
         #: derived from them, so each block() retry extends the previous
         #: mask with one pair instead of re-deriving the conjunction.
-        self._blocked_seq: list[tuple[int, int]] = list(blocked)
+        self._blocked_seq: list[tuple[int, int]] = list(self._blocked)
         self._mask_state: dict[bool, tuple] = {}
         #: Optional :class:`repro.obs.observer.FrontierCacheStats` from the
         #: owning stepper: hit/miss counters for the shared column and
-        #: whole-matrix caches, incremented where each consult resolves.
+        #: whole-matrix caches, incremented where each consult resolves,
+        #: and the scoring-session counters the sampling policies bump.
         #: ``None`` (collection off, or hand-built views) counts nothing.
-        self._cache_stats = cache_stats
+        self.cache_stats = cache_stats
         #: Engine frontier epoch: bumped by the stepper on every event that
         #: can change any job's frontier (arrival, launch, finish,
         #: preemption, withdrawal). Equal epochs across two views guarantee
@@ -640,7 +643,7 @@ class ClusterView:
         # the dominant case for the vectorized schedulers (they don't
         # hold executors), and it turns the per-view cost of a deferred or
         # blocked scheduling pass into two integer compares.
-        stats = self._cache_stats if shared is not None else None
+        stats = self.cache_stats if shared is not None else None
         view_key = None
         epoch = self._frontier_epoch
         if (
@@ -791,6 +794,11 @@ class ClusterView:
         self._fa_cache[include_saturated] = out
         return out
 
+    @property
+    def blocked_pairs(self) -> list[tuple[int, int]]:
+        """Every blocked pair, in the order it was blocked (read-only)."""
+        return self._blocked_seq
+
     def block(self, job_id: int, stage_id: int) -> None:
         """Engine-only: add one blocked entry and invalidate view caches.
 
@@ -799,12 +807,20 @@ class ClusterView:
         this view (skipping snapshot construction) and records the block
         here. Schedulers must never call this — the view they receive is
         immutable for the duration of their ``select``.
+
+        The :meth:`first_assignable` memo survives a block of any pair but
+        the memoized head: jobs before the head's had no open entry, the
+        head job's earlier stages were already blocked, and blocking opens
+        nothing, so the head is still the first open entry.
         """
-        self._blocked = frozenset((*self._blocked, (job_id, stage_id)))
-        self._blocked_seq.append((job_id, stage_id))
+        pair = (job_id, stage_id)
+        self._blocked.add(pair)
+        self._blocked_seq.append(pair)
         self._ready_cache.clear()
         self._fa_cache.clear()
-        self._heads = None
+        heads = self._heads
+        if heads and heads[0].job_id == job_id and heads[0].stage_id == stage_id:
+            self._heads = None
         self._all_heads = False
 
     def first_assignable(self) -> ReadyStage | None:

@@ -106,6 +106,21 @@ class TestRestoreIsFingerprintNeutral:
         restored = SimulationStepper.restore(blob)
         assert restored._obs is None  # observer refs never ride a checkpoint
 
+    def test_checkpoint_drops_the_last_pass_view(self):
+        """The policy's last draw holds a view (with the engine's caches
+        and obs probes); it serves only that pass, so it stays out."""
+        config = PINNED_SCENARIOS[-1]
+        stepper = stepper_with_workload(config)
+        with collecting("checkpoint-side"):
+            step_n(stepper, 11)
+        policy = stepper.sim.scheduler.policy
+        assert policy._last is not None
+        restored = SimulationStepper.restore(stepper.checkpoint())
+        restored_policy = restored.sim.scheduler.policy
+        assert restored_policy._last is None
+        assert restored_policy._session is None
+        assert policy._last is not None  # the original keeps its state
+
     def test_disrupted_run_checkpoints_cleanly(self):
         """Pending disruption events (outage/curtailment/blackout) live in
         the heap and survive the cut like any other state."""

@@ -13,10 +13,16 @@ properties:
   :class:`~repro.disrupt.schedule.DisruptionSchedule` installed (and the
   no-op capacity verbs exercised) still replays bit-identically — the
   disruption machinery is invisible until a schedule actually fires.
+
+A blocked-heavy PCAPS trial rides along with the rerun and tuple-path
+checks: the pinned pcaps scenario barely blocks, so it hardly reaches the
+scoring session that serves blocked retries, and the tuple path, which
+never opens one, is the independent reference.
 """
 
 import pytest
 
+from repro import obs
 from repro.disrupt import (
     DisruptionEvent,
     DisruptionSchedule,
@@ -33,17 +39,26 @@ from fingerprint_scenarios import (  # noqa: F401  (re-exported for suites)
     schedule_fingerprint,
 )
 
+#: ``pcaps-batch``-shaped, scaled down: most selects are blocked retries.
+#: Outside PINNED_SCENARIOS, which keeps one scenario per scheduler.
+BLOCKED_PCAPS = ExperimentConfig(
+    scheduler="pcaps", num_executors=10, seed=7,
+    workload=WorkloadSpec(num_jobs=40, tpch_scales=(2, 10, 50)),
+)
+CHECKED_SCENARIOS = [*PINNED_SCENARIOS, BLOCKED_PCAPS]
+CHECKED_IDS = [*SCENARIO_IDS, "pcaps-blocked"]
+
 
 class TestPinnedFingerprints:
     def test_scenarios_cover_seven_schedulers(self):
         assert len(PINNED_SCENARIOS) == 7
         assert len(set(SCENARIO_IDS)) == 7
 
-    @pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
+    @pytest.mark.parametrize("config", CHECKED_SCENARIOS, ids=CHECKED_IDS)
     def test_rerun_is_bit_identical(self, config):
         assert run_fingerprint(config) == run_fingerprint(config)
 
-    @pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
+    @pytest.mark.parametrize("config", CHECKED_SCENARIOS, ids=CHECKED_IDS)
     def test_tuple_path_matches_vectorized_path(self, config):
         """The columnar (FrontierArrays) scheduler path replays the tuple
         path bit-for-bit — same scores, same softmax, same RNG draws."""
@@ -58,6 +73,22 @@ class TestPinnedFingerprints:
             policy.vectorized = False
         via_tuples = schedule_fingerprint(sim.run(workload_for(config)))
         assert via_tuples == run_fingerprint(config)
+
+    def test_blocked_pcaps_case_is_blocked_heavy(self):
+        """Blocked retries outnumber placed grants, and the scoring session
+        serves some of them."""
+        with obs.collecting() as observer:
+            build_simulation(BLOCKED_PCAPS).run(workload_for(BLOCKED_PCAPS))
+        registry = observer.registry
+        blocked = registry.value("engine.blocked_retries")
+        grants = (
+            registry.histogram("engine.select_latency_s").count
+            - blocked
+            - registry.value("engine.deferrals")
+        )
+        assert blocked > grants > 0
+        assert registry.value("engine.cache.session.reuses") > 0
+        assert registry.value("engine.cache.session.fallbacks") > 0
 
     @pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
     def test_empty_disruption_schedule_is_bit_identical(self, config):

@@ -71,6 +71,7 @@ def build_view(
     frontier_epoch=None,
     general_free=None,
     reserved_free=None,
+    cache_stats=None,
 ):
     return ClusterView(
         time=0.0,
@@ -86,6 +87,7 @@ def build_view(
         active=active,
         column_cache=column_cache,
         frontier_epoch=frontier_epoch,
+        cache_stats=cache_stats,
     )
 
 
@@ -261,28 +263,22 @@ def op_sequences(draw):
     return [draw(st.integers(min_value=0, max_value=2**31)) for _ in range(n_ops)]
 
 
-@given(op_sequences(), st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=60, deadline=None)
-def test_incremental_arrays_equal_from_scratch_rebuild(ops, view_seed):
-    """Random submit/launch/complete/preempt interleavings keep the shared
-    column cache bit-equal to a from-scratch frontier rebuild.
+class RandomFrontier:
+    """Cluster state driven by random submit / launch / complete / preempt
+    operations, kept under the engine's maintenance discipline: one
+    persistent column-cache dict across views, a frontier epoch bumped on
+    every mutation, and completed jobs leaving the active set (and the
+    cache)."""
 
-    Mirrors the engine's maintenance discipline exactly: one persistent
-    column-cache dict across views, a frontier epoch bumped on every
-    mutation, and completed jobs leaving the active set. After every
-    operation the cached columnar frontier (built through the shared
-    cache, twice — the second build exercising the view- and job-level
-    hits) must equal the reference built with no cache at all.
-    """
-    rng = np.random.default_rng(view_seed)
-    jobs: dict[int, JobRuntime] = {}
-    active: dict[int, JobRuntime] = {}
-    cache: dict = {}
-    epoch = 0
-    next_job_id = 0
+    def __init__(self) -> None:
+        self.jobs: dict[int, JobRuntime] = {}
+        self.active: dict[int, JobRuntime] = {}
+        self.cache: dict = {}
+        self.epoch = 0
+        self._next_job_id = 0
 
-    def mutate(op_seed: int) -> None:
-        nonlocal epoch, next_job_id
+    def mutate(self, op_seed: int) -> None:
+        active = self.active
         op_rng = np.random.default_rng(op_seed)
         launched = [
             (job, sid)
@@ -303,10 +299,11 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops, view_seed):
         action = choices[int(op_rng.integers(len(choices)))]
         if action == "submit":
             dag = DAG_BUILDERS[int(op_rng.integers(len(DAG_BUILDERS)))]()
-            job = JobRuntime(next_job_id, dag, arrival_time=float(next_job_id))
-            jobs[next_job_id] = job
-            active[next_job_id] = job
-            next_job_id += 1
+            job_id = self._next_job_id
+            job = JobRuntime(job_id, dag, arrival_time=float(job_id))
+            self.jobs[job_id] = job
+            active[job_id] = job
+            self._next_job_id += 1
         elif action == "launch":
             job, sid = assignable[int(op_rng.integers(len(assignable)))]
             job.stages[sid].launch(1)
@@ -314,15 +311,32 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops, view_seed):
             job, sid = launched[int(op_rng.integers(len(launched)))]
             if job.record_task_finish(sid, now=1.0):
                 del active[job.job_id]
-                cache.pop((job.job_id, False), None)
-                cache.pop((job.job_id, True), None)
+                self.cache.pop((job.job_id, False), None)
+                self.cache.pop((job.job_id, True), None)
         else:  # preempt
             job, sid = launched[int(op_rng.integers(len(launched)))]
             job.stages[sid].unlaunch(1)
-        epoch += 1
+        self.epoch += 1
+
+
+@given(op_sequences(), st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=60, deadline=None)
+def test_incremental_arrays_equal_from_scratch_rebuild(ops, view_seed):
+    """Random submit/launch/complete/preempt interleavings keep the shared
+    column cache bit-equal to a from-scratch frontier rebuild.
+
+    Mirrors the engine's maintenance discipline exactly (see
+    :class:`RandomFrontier`). After every operation the cached columnar
+    frontier (built through the shared cache, twice — the second build
+    exercising the view- and job-level hits) must equal the reference
+    built with no cache at all.
+    """
+    state = RandomFrontier()
+    jobs, active, cache = state.jobs, state.active, state.cache
 
     for op_seed in ops:
-        mutate(op_seed)
+        state.mutate(op_seed)
+        epoch = state.epoch
         op_rng = np.random.default_rng(op_seed + 1)
         busy = int(op_rng.integers(0, 7))
         general_free = int(op_rng.integers(0, 7))

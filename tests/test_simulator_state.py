@@ -345,3 +345,80 @@ class TestIncrementalFrontierProperty:
             check()
         assert job.ready_stage_ids(include_running=True) == ()
         assert job.remaining_work() == 0.0
+
+
+class TestBlockKeepsHeadMemo:
+    """``block()`` keeps the ``first_assignable`` memo unless it blocks the
+    memoized head; the walks must still answer as a fresh view would."""
+
+    def test_non_head_block_keeps_the_memoized_head(self):
+        job = JobRuntime(0, diamond_dag(num_tasks=2), arrival_time=0.0)
+        job.stages[0].launch(2)
+        job.record_task_finish(0, now=1.0)
+        job.record_task_finish(0, now=1.0)
+        view = make_view([job], busy=0, total=4)
+        first = view.first_assignable()
+        other = next(
+            r for r in view.ready_stages() if r.stage_id != first.stage_id
+        )
+        view.block(other.job_id, other.stage_id)
+        assert view.first_assignable() is first
+
+    @given(
+        st.lists(small_dag(max_stages=5), min_size=1, max_size=4),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_memos_match_a_fresh_view_after_random_blocks(self, dags, rng):
+        jobs = [
+            JobRuntime(i, dag, arrival_time=float(i))
+            for i, dag in enumerate(dags)
+        ]
+        for job in jobs:  # some partial progress, so some rows saturate
+            for sid in job.ready_stage_ids():
+                if rng.random() < 0.4:
+                    job.stages[sid].launch(
+                        rng.randint(1, job.stages[sid].unlaunched)
+                    )
+        total = rng.randint(1, 8)
+        busy = rng.randint(0, total)
+        kwargs = dict(
+            busy=busy,
+            total=total,
+            quota=rng.randint(0, total),
+            per_job_cap=rng.choice([None, 1, 2, 3]),
+            general_free=rng.randint(0, total - busy),
+            reserved_free={rng.randrange(len(jobs)): rng.randint(0, 2)},
+        )
+        view = make_view(jobs, **kwargs)
+        blocked: set[tuple[int, int]] = set()
+        pool = [
+            (job.job_id, sid)
+            for job in jobs
+            for sid in job.ready_stage_ids(include_running=True)
+        ]
+
+        def check(queries):
+            fresh = make_view(jobs, blocked=frozenset(blocked), **kwargs)
+            for query in queries:
+                assert getattr(view, query)() == getattr(fresh, query)()
+
+        queries = ["first_assignable", "has_assignable", "job_heads"]
+        while True:
+            # Leave the memos empty, first-head-only or all-heads before
+            # the next block, asking in a random order.
+            rng.shuffle(queries)
+            check(queries[: rng.randint(0, 3)])
+            open_pairs = [p for p in pool if p not in blocked]
+            if not open_pairs:
+                break
+            head = make_view(
+                jobs, blocked=frozenset(blocked), **kwargs
+            ).first_assignable()
+            if head is not None and rng.random() < 0.3:
+                pair = (head.job_id, head.stage_id)
+            else:
+                pair = rng.choice(open_pairs)
+            view.block(*pair)
+            blocked.add(pair)
+        check(queries)
