@@ -349,13 +349,6 @@ class CampaignRunner:
         Resilience policy (timeouts, attempt budget, backoff, checkpoints);
         defaults to :class:`SupervisorConfig`'s defaults — two attempts,
         no timeout, no checkpointing.
-    exporter:
-        Optional live :class:`~repro.obs.export.MetricsExporter`, sampled
-        once per completed trial so a long campaign can be watched from a
-        JSONL series or scrape endpoint. Samples are keyed by the
-        done-count (campaigns have no simulated clock; elapsed wall
-        seconds ride along as the time axis). The caller owns the
-        exporter's lifecycle (``close``).
     """
 
     def __init__(
@@ -364,7 +357,6 @@ class CampaignRunner:
         workers: int | None = None,
         code_version: str | None = None,
         supervisor: SupervisorConfig | None = None,
-        exporter=None,
     ) -> None:
         if workers is not None and workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
@@ -372,7 +364,6 @@ class CampaignRunner:
         self.workers = workers
         self.code_version = code_version
         self.supervisor = supervisor if supervisor is not None else SupervisorConfig()
-        self.exporter = exporter
         self._stop = threading.Event()
 
     def request_shutdown(self) -> None:
@@ -438,22 +429,12 @@ class CampaignRunner:
         if observer is not None:
             registry = observer.registry
             tracer = observer.tracer
-        elif self.exporter is not None:
-            # No observer, but a live exporter wants samples: give the
-            # campaign counters a runner-local registry to land in.
-            from repro.obs.metrics import MetricsRegistry
-
-            registry = MetricsRegistry()
-            tracer = None
-        else:
-            registry = tracer = None
-        if registry is not None:
             registry.counter("campaign.store.hits").inc(stats.hits)
             registry.counter("campaign.store.misses").inc(stats.misses)
             obs_ok = registry.counter("campaign.trials.ok")
             obs_failed = registry.counter("campaign.trials.failed")
         else:
-            obs_ok = obs_failed = None
+            registry = tracer = obs_ok = obs_failed = None
 
         total = len(keyed)
         done = 0
@@ -479,10 +460,6 @@ class CampaignRunner:
                 )
             if obs_ok is not None:
                 (obs_ok if record.ok else obs_failed).inc()
-            if self.exporter is not None and registry is not None:
-                self.exporter.export(
-                    done, time.perf_counter() - started, registry
-                )
             if on_progress is not None:
                 verb = "ok   " if record.ok else "FAIL "
                 on_progress(

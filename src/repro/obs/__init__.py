@@ -20,17 +20,9 @@ Artifacts:
   ``BENCH_*.json`` history, campaign-store aggregates, and obs snapshots
   into a static ``dashboard/index.html`` (stdlib only, no server).
 
-The live half (this PR's :mod:`~repro.obs.export`, :mod:`~repro.obs.slo`,
-and :mod:`~repro.obs.regress`):
-
-- **exporters** publish one registry sample per service epoch, either
-  appended to a JSONL time series or served as Prometheus text exposition
-  from a background thread (``repro stream run --export-port N``);
-- **SLO rules** are evaluated at epoch boundaries against the streaming
-  windows, emitting alert transitions (``obs/alerts.jsonl``) that show in
-  ``repro obs report`` and the dashboard;
-- the **regression gate** (``repro obs regress``) compares the newest
-  bench-history snapshot against a trailing baseline for CI.
+The **regression gate** (:mod:`~repro.obs.regress`, ``repro obs regress``)
+compares the newest bench-history snapshot against a trailing baseline
+for CI.
 
 Enable collection from the CLI with ``--obs`` on ``run`` / ``campaign`` /
 ``geo`` / ``disrupt`` / ``perf``, or programmatically::
@@ -43,14 +35,6 @@ Enable collection from the CLI with ``--obs`` on ``run`` / ``campaign`` /
 """
 
 from repro.obs.dashboard import build_dashboard, render_dashboard
-from repro.obs.export import (
-    HttpExporter,
-    JsonlExporter,
-    MetricsExporter,
-    parse_exposition,
-    read_samples,
-    render_exposition,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -63,13 +47,6 @@ from repro.obs.regress import (
     RegressionReport,
     check_history,
     format_regression_report,
-)
-from repro.obs.slo import (
-    ALERTS_FILENAME,
-    SloAlert,
-    SloEvaluator,
-    SloRule,
-    read_alerts,
 )
 from repro.obs.observer import (
     DEFAULT_OBS_DIR,
@@ -91,23 +68,16 @@ from repro.obs.report import format_snapshot, render_report
 from repro.obs.tracing import SpanTracer
 
 __all__ = [
-    "ALERTS_FILENAME",
     "Counter",
     "DEFAULT_OBS_DIR",
     "FrontierCacheStats",
     "Gauge",
     "Histogram",
-    "HttpExporter",
-    "JsonlExporter",
     "LOG_LEVELS",
     "METRICS_FILENAME",
-    "MetricsExporter",
     "MetricsRegistry",
     "Observer",
     "RegressionReport",
-    "SloAlert",
-    "SloEvaluator",
-    "SloRule",
     "SpanTracer",
     "TRACE_FILENAME",
     "Timer",
@@ -122,11 +92,7 @@ __all__ = [
     "format_snapshot",
     "hit_rate",
     "is_enabled",
-    "parse_exposition",
-    "read_alerts",
     "read_jsonl",
-    "read_samples",
-    "render_exposition",
     "render_report",
     "snapshot_meta",
 ]

@@ -128,7 +128,7 @@ class Histogram:
 
         Bounds are the 1-2-5 ladder's inclusive upper edges; the overflow
         catch-all reports ``None`` (JSON-safe stand-in for +inf). Counts
-        are per-bucket, not cumulative — exposition renderers cumulate.
+        are per-bucket, not cumulative.
         """
         out: list[tuple[float | None, int]] = []
         for i, n in enumerate(self.counts):

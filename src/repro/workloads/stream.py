@@ -31,7 +31,7 @@ from repro.workloads.arrivals import (
     PoissonArrivalGenerator,
 )
 from repro.workloads.batch import WorkloadSpec
-from repro.workloads.tpch import TPCH_QUERIES, tpch_job
+from repro.workloads.tpch import TPCH_QUERIES, TPCH_SCALE_DURATIONS, tpch_job
 
 #: Valid garbage-collection policies for service-mode runs. ``"retire"``
 #: pops finished jobs out of the engine each epoch (O(1) memory);
@@ -79,6 +79,12 @@ class StreamSpec:
             raise ValueError(
                 f"gc_policy must be one of {GC_POLICIES}, "
                 f"got {self.gc_policy!r}"
+            )
+        bad_scales = set(self.tpch_scales) - set(TPCH_SCALE_DURATIONS)
+        if self.family == "tpch" and bad_scales:
+            raise ValueError(
+                f"tpch_scales must be drawn from "
+                f"{sorted(TPCH_SCALE_DURATIONS)}, got {sorted(bad_scales)}"
             )
 
     def batch_equivalent(self, num_jobs: int) -> WorkloadSpec:

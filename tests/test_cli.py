@@ -425,45 +425,49 @@ class TestObsRegressCommand:
         assert code == 0
 
 
-class TestStreamExportCommands:
-    def test_bad_slo_rule_fails_cleanly(self, capsys):
-        code = main(
-            ["stream", "run", "--jobs", "2", "--slo", "not a rule !!"]
-        )
-        assert code == 2
-        assert "cannot parse SLO rule" in capsys.readouterr().err
-
-    def test_stream_run_with_export_and_slo(self, tmp_path, capsys):
-        from repro.obs.export import read_samples
-        from repro.obs.slo import read_alerts
-
-        samples = tmp_path / "samples.jsonl"
-        alerts = tmp_path / "alerts.jsonl"
-        code = main(
-            [
-                "stream", "run", "--jobs", "4", "--seed", "1",
-                "--epoch-events", "64", "--quiet",
-                "--export-jsonl", str(samples),
-                "--slo", "jct=avg_jct>0.0@1",
-                "--alerts-output", str(alerts),
-            ]
-        )
-        assert code == 0
+class TestBadInputFailsCleanly:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--window", "0"], "window_s must be positive"),
+            (["--epoch-events", "0"], "epoch_events must be positive"),
+            (["--interarrival", "0"], "mean_interarrival must be positive"),
+            (["--jobs", "0"], "max_jobs must be positive"),
+            (["--executors", "0"], "num_executors must be >= 1"),
+            (["--gamma", "2"], "gamma must be in [0, 1]"),
+            (["--scales", "2", "7"], "tpch_scales must be drawn from"),
+            (
+                ["--checkpoint-every", "-1", "--checkpoint-dir", "d"],
+                "checkpoint_every_epochs must be >= 0",
+            ),
+        ],
+    )
+    def test_bad_stream_run_exits_2(self, capsys, flags, message):
+        assert main(["stream", "run", "--jobs", "2", *flags]) == 2
         captured = capsys.readouterr()
-        assert "jobs arrived" in captured.out
-        assert "alert transition(s)" in captured.err
-        rows = read_samples(samples)
-        assert rows and rows[0]["epoch"] == 1
-        meta, transitions = read_alerts(alerts)
-        assert meta["label"] == "stream run"
-        assert any(t["state"] == "firing" for t in transitions)
+        assert captured.err.startswith("invalid stream run: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
-    def test_stream_run_with_ephemeral_export_port(self, capsys):
-        code = main(
-            [
-                "stream", "run", "--jobs", "3", "--seed", "2",
-                "--epoch-events", "64", "--quiet", "--export-port", "0",
-            ]
-        )
-        assert code == 0
-        assert "exposition endpoint: http://" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "10", "0"], "num_jobs must be positive"),
+            (["--executors", "0"], "num_executors must be >= 1"),
+            (["--schedulers", "nope"], "unknown schedulers"),
+        ],
+    )
+    def test_bad_perf_scenario_exits_2_before_any_run(
+        self, capsys, monkeypatch, flags, message
+    ):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.setattr("repro.experiments.perf.run_scenario", no_runs)
+        assert main(["perf", "--no-campaign", "--quiet", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid perf scenario: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""

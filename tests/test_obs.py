@@ -391,44 +391,3 @@ class TestHistorySeries:
 
         snapshots, series, skipped = history_series(tmp_path / "absent")
         assert (snapshots, series, skipped) == ([], {}, [])
-
-
-class TestAlertsPanel:
-    def test_report_and_dashboard_include_alerts(self, tmp_path):
-        from repro.obs.slo import SloEvaluator, SloRule
-
-        with obs.collecting("alerting") as observer:
-            observer.registry.counter("engine.events.task_done").inc(3)
-        obs_dir = tmp_path / "obs"
-        metrics_path, _ = observer.write_artifacts(obs_dir)
-
-        evaluator = SloEvaluator(
-            [SloRule(name="busy", metric="counter:engine.events.task_done",
-                     threshold=0.0)]
-        )
-        evaluator.evaluate(1, 600.0, registry=observer.registry)
-        evaluator.write_alerts(obs_dir / "alerts.jsonl")
-
-        rendered = render_report(metrics_path)
-        assert "alerts" in rendered
-        assert "firing" in rendered and "busy" in rendered
-
-        path = build_dashboard(
-            output=tmp_path / "index.html",
-            bench_paths=[], store_paths=[], obs_dirs=[str(obs_dir)],
-        )
-        text = path.read_text()
-        assert "SLO alerts" in text
-        assert "busy" in text
-
-    def test_no_alerts_file_no_panel(self, tmp_path):
-        with obs.collecting("quiet") as observer:
-            observer.registry.counter("c").inc()
-        obs_dir = tmp_path / "obs"
-        metrics_path, _ = observer.write_artifacts(obs_dir)
-        assert "alerts" not in render_report(metrics_path)
-        path = build_dashboard(
-            output=tmp_path / "index.html",
-            bench_paths=[], store_paths=[], obs_dirs=[str(obs_dir)],
-        )
-        assert "SLO alerts" not in path.read_text()

@@ -17,15 +17,8 @@ import pytest
 
 from repro import obs
 from repro.experiments.runner import workload_for
-from repro.obs.export import (
-    JsonlExporter,
-    parse_exposition,
-    read_samples,
-    render_exposition,
-)
-from repro.obs.slo import SloEvaluator, SloRule
 from repro.simulator import engine as engine_mod
-from repro.stream import ServiceRunner, run_service
+from repro.stream import run_service
 
 from fingerprint_scenarios import (
     PINNED_SCENARIOS,
@@ -140,95 +133,19 @@ class TestFingerprintNeutrality:
             assert names[kind] == name
 
 
-class TestLiveTelemetryNeutrality:
-    """PR-9 contract: exporting and evaluating SLOs mid-run never changes
-    a schedule. All seven pinned scenarios replay byte-identically with a
-    JSONL exporter, exposition rendering, and live SLO evaluation active
-    between epochs."""
+class TestServiceModeNeutrality:
+    """Service mode under an observer: the per-epoch ``stream.*`` gauges
+    are written, and every pinned scenario's streaming metrics fingerprint
+    is unchanged."""
 
     @pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
-    def test_export_and_slo_during_run_is_bit_identical(
-        self, config, tmp_path
-    ):
-        """Drive the pinned stepper in epochs with the full live surface
-        active: every epoch boundary appends a JSONL sample, renders (and
-        parses) an exposition document, and re-evaluates SLO rules against
-        the live registry."""
-        baseline = run_fingerprint(config)
-        jsonl = JsonlExporter(tmp_path / "samples.jsonl")
-        evaluator = SloEvaluator(
-            [
-                # Fires almost immediately: proves evaluation measured.
-                SloRule(
-                    name="saw-work",
-                    metric="counter:engine.events.task_done",
-                    threshold=0.0,
-                ),
-                # Never fires: an absurd ceiling held under observation.
-                SloRule(
-                    name="heap-bound",
-                    metric="gauge:engine.heap.high_water",
-                    threshold=1e12,
-                ),
-            ]
-        )
-        with obs.collecting(f"live-{config.scheduler}") as observer:
-            stepper = build_simulation(config).stepper()
-            for sub in workload_for(config):
-                stepper.submit(sub)
-            epoch = 0
-            now = 0.0
-            while stepper.events:
-                for _ in range(64):
-                    if not stepper.events:
-                        break
-                    now = stepper.step()
-                epoch += 1
-                evaluator.evaluate(epoch, now, registry=observer.registry)
-                jsonl.export(epoch, now, observer.registry)
-                parse_exposition(
-                    render_exposition(
-                        observer.registry, epoch=epoch, sim_time=now
-                    )
-                )
-            fingerprint = schedule_fingerprint(stepper.result())
-        assert fingerprint == baseline
-        # The live surface actually ran: samples on disk, rules measured.
-        assert epoch > 0
-        assert jsonl.samples_written == epoch
-        assert len(read_samples(jsonl.path)) == epoch
-        assert evaluator.evaluations == epoch
-        assert evaluator.firing == frozenset({"saw-work"})
-
-    @pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
-    def test_service_run_with_live_telemetry_is_bit_identical(
-        self, config, tmp_path
-    ):
-        """Service mode: a run with exporters + SLO rules attached (and the
-        default ``slo_action="none"``) reproduces the plain run's streaming
-        metrics fingerprint exactly."""
+    def test_observed_service_run_is_bit_identical(self, config):
         service = stream_config_for(config)
         plain = run_service(service)
-        jsonl = JsonlExporter(tmp_path / "samples.jsonl")
-        runner = ServiceRunner(
-            service,
-            exporters=[jsonl],
-            slo_rules=[
-                SloRule(
-                    name="jct", metric="avg_jct", threshold=1.0, window=2
-                ),
-                SloRule(
-                    name="active",
-                    metric="gauge:stream.jobs_active",
-                    threshold=1e9,
-                ),
-            ],
-        )
-        try:
-            live = runner.run()
-        finally:
-            runner.close_exporters()
-        assert live.fingerprint == plain.fingerprint
-        assert live.drained
-        assert jsonl.samples_written == live.epochs
-        assert runner.slo.evaluations == live.epochs
+        with obs.collecting(f"service-{config.scheduler}") as observer:
+            observed = run_service(service)
+        assert observed.fingerprint == plain.fingerprint
+        assert observed.drained
+        # The gauges fired once per epoch: neutrality is only meaningful
+        # if the service actually emitted under observation.
+        assert observer.registry.value("stream.epochs") == observed.epochs

@@ -209,6 +209,27 @@ class TestServiceRunner:
         with pytest.raises(TypeError):
             ServiceRunner.restore(blob)
 
+    @staticmethod
+    def _blob_with_paused(paused: bool) -> bytes:
+        runner = ServiceRunner(tiny_service(max_jobs=40))
+        for _ in range(3):
+            assert runner.run_epoch()
+        payload = pickle.loads(runner.checkpoint())
+        payload["paused"] = paused
+        return pickle.dumps(payload)
+
+    def test_restore_rejects_paused_admission_checkpoints(self):
+        with pytest.raises(ValueError, match="admission paused"):
+            ServiceRunner.restore(self._blob_with_paused(True))
+
+    def test_restore_ignores_an_unpaused_flag(self):
+        """Blobs that carry ``"paused": False`` still restore and continue
+        bit-identically."""
+        baseline = run_service(tiny_service(max_jobs=40))
+        resumed = ServiceRunner.restore(self._blob_with_paused(False)).run()
+        assert resumed.fingerprint == baseline.fingerprint
+        assert resumed.summary == baseline.summary
+
     def test_obs_gauges_emitted_per_epoch(self):
         from repro.obs.observer import collecting
 
