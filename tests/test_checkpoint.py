@@ -7,11 +7,14 @@ on. That contract is what lets campaign workers resume a retried trial
 mid-flight without changing a single result bit.
 """
 
+import dataclasses
 import pathlib
+import pickle
 
 import pytest
 
 from conftest import schedule_fingerprint
+from fingerprint_scenarios import stream_config_for
 from test_fingerprints import (
     PINNED_SCENARIOS,
     SCENARIO_IDS,
@@ -26,6 +29,7 @@ from repro.experiments.runner import ExperimentConfig, workload_for
 from repro.ioutil import atomic_write_bytes
 from repro.obs.observer import collecting
 from repro.simulator.engine import SimulationStepper
+from repro.stream import ServiceRunner, run_service
 from repro.workloads.batch import WorkloadSpec
 
 
@@ -149,6 +153,46 @@ class TestRestoreIsFingerprintNeutral:
 
         with pytest.raises(TypeError, match="SimulationStepper"):
             SimulationStepper.restore(pickle.dumps({"not": "a stepper"}))
+
+
+class TestServiceRestoreIsFingerprintNeutral:
+    """The service checkpoint — engine with its aggregator, stream state,
+    in-flight job metadata, epoch count — keeps the same contract at every
+    epoch boundary."""
+
+    @pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
+    def test_restore_at_every_epoch_boundary(self, config):
+        service = dataclasses.replace(
+            stream_config_for(config), epoch_events=32
+        )
+        reference = run_service(service)
+        runner = ServiceRunner(service)
+        boundaries = 0
+        while runner.run_epoch():
+            resumed = ServiceRunner.restore(runner.checkpoint()).run()
+            assert resumed.fingerprint == reference.fingerprint
+            assert resumed.summary == reference.summary
+            assert resumed.epochs == reference.epochs
+            assert resumed.events_processed == reference.events_processed
+            boundaries += 1
+        assert boundaries >= 2
+        # Taking the checkpoints never perturbed the original run.
+        assert runner.report().fingerprint == reference.fingerprint
+
+    def test_restore_ignores_a_legacy_sim_now_key(self):
+        """Older runners also wrote the simulated clock as ``"sim_now"``;
+        the engine carries its own clock, so the key is dropped."""
+        service = stream_config_for(PINNED_SCENARIOS[-1])
+        reference = run_service(service)
+        runner = ServiceRunner(service)
+        for _ in range(2):
+            assert runner.run_epoch()
+        payload = pickle.loads(runner.checkpoint())
+        assert "sim_now" not in payload
+        payload["sim_now"] = runner.aggregator.makespan
+        resumed = ServiceRunner.restore(pickle.dumps(payload)).run()
+        assert resumed.fingerprint == reference.fingerprint
+        assert resumed.summary == reference.summary
 
 
 class TestWorkerCheckpointing:

@@ -276,6 +276,36 @@ class TestObsCommands:
         assert "engine.events.task_done" in out
         assert "obs snapshot" in out
 
+    def test_observed_stream_run_reaches_report_and_dashboard(
+        self, tmp_path, capsys
+    ):
+        """``stream run --obs`` writes the per-epoch ``stream.*`` gauges,
+        and ``obs report`` / ``obs dashboard`` render them."""
+        obs_dir = tmp_path / "obs"
+        assert main(
+            [
+                "stream", "run", "--scheduler", "fifo", "--executors", "4",
+                "--jobs", "6", "--interarrival", "8", "--scales", "2",
+                "--epoch-events", "32", "--quiet",
+                "--obs", "--obs-dir", str(obs_dir),
+            ]
+        ) == 0
+        capsys.readouterr()
+        assert main(["obs", "report", "--metrics", str(obs_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "stream.epochs" in out
+        assert "stream.jobs_completed" in out
+        output = tmp_path / "index.html"
+        assert main(
+            [
+                "obs", "dashboard", "--output", str(output),
+                "--bench", "--store", "--obs-dir", str(obs_dir),
+            ]
+        ) == 0
+        assert "<td>stream.jobs_completed</td><td>6</td>" in (
+            output.read_text()
+        )
+
     def test_obs_report_missing_snapshot(self, tmp_path, capsys):
         missing = str(tmp_path / "nope" / "metrics.jsonl")
         assert main(["obs", "report", "--metrics", missing]) == 2

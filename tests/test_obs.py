@@ -9,6 +9,7 @@ text report, and the dashboard generator.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.obs.dashboard import bar_chart, build_dashboard, render_dashboard
@@ -57,6 +58,29 @@ class TestInstruments:
         assert snap["count"] == 0
         assert snap["mean"] == 0.0
 
+    @pytest.mark.parametrize("value", [0.0, 3e-7, 0.004, 2.5, 12345.0])
+    def test_histogram_single_value_quantiles_are_exact(self, value):
+        h = Histogram("one")
+        h.record(value)
+        snap = h.snapshot()
+        for key in ("min", "p50", "p95", "p99", "max"):
+            assert snap[key] == pytest.approx(value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
+            min_size=1, max_size=40,
+        )
+    )
+    def test_histogram_quantiles_are_ordered_and_bounded(self, values):
+        h = Histogram("lat")
+        for v in values:
+            h.record(v)
+        q = [h.quantile(x) for x in (0.0, 0.25, 0.5, 0.95, 0.99, 1.0)]
+        assert q == sorted(q)
+        assert min(values) <= q[0] and q[-1] <= max(values)
+
     def test_timer_records_elapsed(self):
         registry = MetricsRegistry()
         with registry.timer("t"):
@@ -79,6 +103,22 @@ class TestInstruments:
         assert registry.value("b") == 1.5
         with pytest.raises(KeyError):
             registry.value("missing")
+
+    def test_registry_value_is_for_counters_and_gauges_only(self):
+        registry = MetricsRegistry()
+        registry.histogram("lat").record(0.5)
+        with pytest.raises(KeyError):
+            registry.value("lat")
+
+    def test_registry_len_counts_each_instrument_once(self):
+        registry = MetricsRegistry()
+        assert len(registry) == 0
+        registry.counter("a").inc()
+        registry.counter("a").inc()
+        registry.gauge("b").set(1)
+        registry.histogram("c").record(1.0)
+        assert len(registry) == 3
+        assert len(registry.snapshot()) == 3
 
     def test_snapshot_sorted_by_name(self):
         registry = MetricsRegistry()
@@ -297,6 +337,97 @@ class TestDashboard:
         assert "unreadable" in text
         assert "store does not exist" in text
         assert "no metrics.jsonl here" in text
+
+
+class TestDashboardSections:
+    """What each dashboard section says when its input is thin."""
+
+    @staticmethod
+    def render(tmp_path, **inputs):
+        inputs = {"bench_paths": [], "store_paths": [], "obs_dirs": [],
+                  **inputs}
+        return build_dashboard(output=tmp_path / "index.html",
+                               **inputs).read_text()
+
+    def test_bench_without_scenarios(self, tmp_path):
+        bench = tmp_path / "BENCH_empty.json"
+        bench.write_text(json.dumps({"benchmark": "engine-throughput"}))
+        text = self.render(tmp_path, bench_paths=[str(bench)])
+        assert "bench: engine-throughput" in text
+        assert "(no scenarios)" in text
+
+    def test_empty_store(self, tmp_path):
+        store = tmp_path / "store.jsonl"
+        store.write_text("")
+        text = self.render(tmp_path, store_paths=[str(store)])
+        assert "(empty store)" in text
+
+    def test_history_without_snapshots(self, tmp_path):
+        (tmp_path / "history").mkdir()
+        text = self.render(tmp_path, history_dir=str(tmp_path / "history"))
+        assert "no snapshots" in text
+
+    def test_history_without_recognized_reports(self, tmp_path):
+        snap = tmp_path / "history" / "run-00"
+        snap.mkdir(parents=True)
+        (snap / "BENCH_other.json").write_text(
+            json.dumps({"benchmark": "something-else"})
+        )
+        text = self.render(tmp_path, history_dir=str(tmp_path / "history"))
+        assert "1 snapshots" in text
+        assert "held no recognizable bench reports" in text
+
+    def test_obs_section_tables_gauges_and_histograms(self, tmp_path):
+        with obs.collecting("dash-tables") as observer:
+            observer.registry.gauge("stream.epochs").set(4)
+            observer.registry.histogram("select").record(0.25)
+        observer.write_artifacts(tmp_path / "obs")
+        text = self.render(tmp_path, obs_dirs=[str(tmp_path / "obs")])
+        assert "label dash-tables" in text
+        assert "<td>stream.epochs</td><td>4</td>" in text
+        assert "<th>p95</th>" in text
+        assert "<td>select</td><td>1</td>" in text
+
+    def test_discover_inputs_from_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cli import DEFAULT_CAMPAIGN_STORE
+        from repro.obs.dashboard import discover_inputs
+        from repro.obs.observer import DEFAULT_OBS_DIR
+
+        monkeypatch.chdir(tmp_path)
+        assert discover_inputs(None, None, None) == ([], [], [])
+        (tmp_path / "BENCH_b.json").write_text("{}")
+        (tmp_path / "BENCH_a.json").write_text("{}")
+        (tmp_path / DEFAULT_CAMPAIGN_STORE).write_text("")
+        with obs.collecting("discover") as observer:
+            observer.registry.counter("x").inc()
+        observer.write_artifacts(DEFAULT_OBS_DIR)
+        assert discover_inputs(None, None, None) == (
+            ["BENCH_a.json", "BENCH_b.json"],
+            [DEFAULT_CAMPAIGN_STORE],
+            [DEFAULT_OBS_DIR],
+        )
+        # An explicit, even empty, list is taken as given.
+        assert discover_inputs([], [], []) == ([], [], [])
+
+    def test_headline_metrics_per_benchmark_kind(self):
+        from repro.obs.dashboard import headline_metrics
+
+        assert headline_metrics(
+            {
+                "benchmark": "engine-throughput",
+                "scenarios": [{"events_per_s": 10.0},
+                              {"events_per_s": 30.0}],
+                "campaign_throughput": {"trials_per_min": 90},
+            }
+        ) == {"engine events/s (mean)": 20.0, "campaign trials/min": 90.0}
+        assert headline_metrics(
+            {"benchmark": "stream-steady", "steady_jobs_per_s": 4.5,
+             "rss_ratio": 1.25}
+        ) == {"stream jobs/s": 4.5, "stream peak-RSS ratio": 1.25}
+        assert headline_metrics({"benchmark": "unknown"}) == {}
+        assert headline_metrics({}) == {}
 
 
 class TestHistorySeries:

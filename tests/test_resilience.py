@@ -326,6 +326,48 @@ class TestAtomicArtifacts:
         atomic_write_bytes(target, b"\x00\x01\x02")
         assert target.read_bytes() == b"\x00\x01\x02"
 
+    def test_creates_missing_parent_directories(self, tmp_path):
+        target = tmp_path / "a" / "b" / "doc.txt"
+        atomic_write_text(target, "deep")
+        assert target.read_text() == "deep"
+
+    def test_failed_write_keeps_the_previous_version(
+        self, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "doc.json"
+        atomic_write_text(target, "first")
+
+        def broken_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.ioutil.os.fsync", broken_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_text(target, "second")
+        assert target.read_text() == "first"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_interrupted_write_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        """A Ctrl-C between write and rename cleans up too."""
+        target = tmp_path / "blob.bin"
+
+        def interrupted_replace(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.ioutil.os.replace", interrupted_replace)
+        with pytest.raises(KeyboardInterrupt):
+            atomic_write_bytes(target, b"payload")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replacing_a_directory_fails_cleanly(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            atomic_write_text(target, "nope")
+        assert target.is_dir()
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
     def test_bench_report_written_atomically(self, tmp_path, monkeypatch):
         """write_report goes through the atomic writer (no partial JSON)."""
         import repro.experiments.perf as perf_module

@@ -1,9 +1,16 @@
 """Tests for the streaming service mode: specs, streams, and the runner."""
 
+import dataclasses
 import json
 import pickle
 
 import pytest
+
+from fingerprint_scenarios import (
+    PINNED_SCENARIOS,
+    SCENARIO_IDS,
+    stream_config_for,
+)
 
 from repro.experiments.runner import ExperimentConfig
 from repro.stream import (
@@ -45,6 +52,25 @@ class TestStreamSpec:
             StreamSpec(horizon_s=-1.0)
         with pytest.raises(ValueError):
             StreamSpec(gc_policy="hoard")
+
+    @pytest.mark.parametrize(
+        "scales", [(7,), (2, 3), (0,), (10, 100)], ids=str
+    )
+    def test_rejects_scales_outside_the_tpch_set(self, scales):
+        with pytest.raises(ValueError, match="tpch_scales must be drawn"):
+            StreamSpec(tpch_scales=scales)
+
+    def test_accepts_every_tpch_scale(self):
+        for scales in ((2,), (10,), (50,), (50, 2), (2, 10, 50)):
+            assert StreamSpec(tpch_scales=scales).tpch_scales == scales
+
+    def test_alibaba_ignores_tpch_scales(self):
+        """The alibaba family never reads ``tpch_scales``."""
+        spec = StreamSpec(family="alibaba", tpch_scales=(7,), max_jobs=3)
+        stream = ArrivalStream(spec)
+        jobs = [stream.take() for _ in range(3)]
+        assert [sub.job_id for sub in jobs] == [0, 1, 2]
+        assert stream.exhausted
 
     def test_batch_equivalent_mirrors_fields(self):
         spec = StreamSpec(
@@ -128,6 +154,76 @@ class TestServiceConfig:
             tiny_service(epoch_events=0)
         with pytest.raises(ValueError):
             tiny_service(window_s=0.0)
+
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"window_s": 0.0}, "window_s must be positive"),
+            ({"window_s": -60.0}, "window_s must be positive"),
+            ({"ring_windows": 0}, "ring_windows must be positive"),
+            ({"epoch_events": 0}, "epoch_events must be positive"),
+            ({"epoch_events": -5}, "epoch_events must be positive"),
+            (
+                {"checkpoint_every_epochs": -1},
+                "checkpoint_every_epochs must be >= 0",
+            ),
+            (
+                {"checkpoint_every_epochs": 2, "checkpoint_dir": ""},
+                "checkpoint_dir is required",
+            ),
+        ],
+        ids=[
+            "window-zero", "window-negative", "ring-zero", "epoch-zero",
+            "epoch-negative", "cadence-negative", "cadence-without-dir",
+        ],
+    )
+    def test_rejects_each_bad_field_by_name(self, overrides, message):
+        """The message names the field: ``repro stream run`` prints it."""
+        with pytest.raises(ValueError, match=message):
+            tiny_service(**overrides)
+
+
+class TestStreamingAggregatorConfig:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"window_s": 0.0}, "window_s must be positive"),
+            ({"ring_windows": 0}, "ring_windows and open_windows"),
+            ({"open_windows": 0}, "ring_windows and open_windows"),
+        ],
+        ids=["window-zero", "ring-zero", "open-zero"],
+    )
+    def test_rejects_bad_window_settings(self, overrides, message):
+        from conftest import make_trace
+        from repro.simulator.streaming import StreamingAggregator
+
+        with pytest.raises(ValueError, match=message):
+            StreamingAggregator(
+                total_executors=4,
+                carbon=make_trace([100.0, 250.0]),
+                **overrides,
+            )
+
+
+class TestServiceCadenceNeutrality:
+    """Epoch size, window width and ring length set the service cadence
+    only: they never change the schedule or the run's totals."""
+
+    @pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
+    def test_cadence_never_changes_the_run(self, config):
+        service = stream_config_for(config)
+        reference = run_service(service)
+        cadenced = run_service(
+            dataclasses.replace(
+                service, epoch_events=5, window_s=37.0, ring_windows=3
+            )
+        )
+        assert cadenced.fingerprint == reference.fingerprint
+        assert cadenced.summary == reference.summary
+        assert cadenced.events_processed == reference.events_processed
+        assert cadenced.epochs > reference.epochs
+        assert len(cadenced.windows) >= 3
 
 
 class TestServiceRunner:
@@ -240,6 +336,56 @@ class TestServiceRunner:
         assert registry.value("stream.jobs_active") == 0
         assert registry.value("stream.epochs") >= 1
 
+    def test_registry_follows_the_active_observer(self):
+        from repro.obs.observer import collecting
+
+        runner = ServiceRunner(tiny_service())
+        assert runner.registry is None
+        with collecting("stream-registry") as observer:
+            assert runner.registry is observer.registry
+        assert runner.registry is None
+
+    def test_window_gauges_track_the_latest_window(self):
+        from repro.obs.observer import collecting
+
+        with collecting("stream-windows") as observer:
+            report = run_service(tiny_service(max_jobs=20, window_s=50.0))
+        registry = observer.registry
+        latest = report.windows[-1]
+        assert registry.value("stream.window.avg_jct") == latest["avg_jct"]
+        assert registry.value("stream.window.busy_s") == latest["busy_s"]
+        assert registry.value("stream.window.carbon") == latest["carbon"]
+        assert registry.value("stream.windows_closed") >= 1
+        assert registry.value("stream.open_tasks") == 0
+
+    def test_on_epoch_runs_once_per_epoch(self):
+        seen = []
+        report = run_service(
+            tiny_service(), on_epoch=lambda r: seen.append(r.epochs)
+        )
+        assert seen == list(range(1, report.epochs + 1))
+
+    def test_drain_before_the_first_epoch_admits_nothing(self):
+        runner = ServiceRunner(tiny_service())
+        runner.drain()
+        report = runner.run()
+        assert report.drained
+        assert report.jobs_arrived == report.jobs_completed == 0
+        assert report.events_processed == 0
+
+    def test_restored_runner_keeps_counting_epochs_under_obs(self):
+        from repro.obs.observer import collecting
+
+        runner = ServiceRunner(tiny_service(max_jobs=30))
+        for _ in range(3):
+            assert runner.run_epoch()
+        blob = runner.checkpoint()
+        with collecting("stream-restore") as observer:
+            report = ServiceRunner.restore(blob).run()
+        assert report.epochs > 3
+        assert observer.registry.value("stream.epochs") == report.epochs
+        assert observer.registry.value("stream.jobs_completed") == 30
+
     def test_result_requires_materialized_backend(self):
         runner = ServiceRunner(tiny_service())
         runner.run()
@@ -263,6 +409,12 @@ class TestStreamReport:
         assert "jobs completed" in text
         assert "fingerprint" in text
         assert report.fingerprint[:16] in text
+
+    def test_format_marks_an_unfinished_run(self):
+        runner = ServiceRunner(tiny_service(max_jobs=1000))
+        text = format_stream_report(runner.run(max_epochs=1))
+        assert "drained               no" in text
+        assert "jobs in flight" in text
 
 
 class TestStreamCLI:
