@@ -25,10 +25,9 @@ from repro.ioutil import atomic_write_text
 #: Histogram bucket upper bounds: a 1-2-5 ladder across 10 decades
 #: (1e-7 .. 999), sized for latencies in seconds but generic. The last
 #: bucket is an overflow catch-all.
-BUCKET_BOUNDS: tuple[float, ...] = tuple(
+_BUCKET_BOUNDS: tuple[float, ...] = tuple(
     m * 10.0**e for e in range(-7, 3) for m in (1.0, 2.0, 5.0)
 )
-_BUCKET_BOUNDS = BUCKET_BOUNDS  # backwards-compatible private alias
 
 
 class Counter:
@@ -123,27 +122,10 @@ class Histogram:
             seen += n
         return self.max
 
-    def buckets(self) -> list[tuple[float | None, int]]:
-        """Non-empty ``(upper_bound, count)`` ladder buckets.
-
-        Bounds are the 1-2-5 ladder's inclusive upper edges; the overflow
-        catch-all reports ``None`` (JSON-safe stand-in for +inf). Counts
-        are per-bucket, not cumulative.
-        """
-        out: list[tuple[float | None, int]] = []
-        for i, n in enumerate(self.counts):
-            if n:
-                bound = (
-                    BUCKET_BOUNDS[i] if i < len(BUCKET_BOUNDS) else None
-                )
-                out.append((bound, n))
-        return out
-
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready view: exact ``count``/``sum``/``mean``/``min``/``max``
-        straight off the running stats (no bucket interpolation), the
-        interpolated ladder quantiles, and the non-empty buckets themselves
-        so downstream renderers can rebuild the distribution."""
+        straight off the running stats (no bucket interpolation) and the
+        interpolated ladder quantiles."""
         return {
             "name": self.name,
             "type": "histogram",
@@ -155,7 +137,6 @@ class Histogram:
             "p50": self.quantile(0.50),
             "p95": self.quantile(0.95),
             "p99": self.quantile(0.99),
-            "buckets": [[bound, n] for bound, n in self.buckets()],
         }
 
 

@@ -129,6 +129,12 @@ class _ExecutorPool:
         # recognized and dropped lazily.
         self._token = [0] * count
         self._by_job: dict[int, deque[tuple[int, int]]] = {}
+        self._reserved_total = 0  # sum of len(held) over ``reserved``
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "_reserved_total" not in state:  # checkpoint without the count
+            self._reserved_total = sum(len(v) for v in self.reserved.values())
 
     # -- linked-list primitives -----------------------------------------
     def _unlink(self, executor_id: int) -> None:
@@ -166,6 +172,7 @@ class _ExecutorPool:
         """
         held = self.reserved.get(job_id)
         if held:
+            self._reserved_total -= 1
             return held.pop(), False
         queue = self._by_job.get(job_id)
         while queue:
@@ -185,6 +192,7 @@ class _ExecutorPool:
         self.last_job[executor_id] = job_id
         if hold:
             self.reserved.setdefault(job_id, []).append(executor_id)
+            self._reserved_total += 1
         else:
             self._append(executor_id)
             self._by_job.setdefault(job_id, deque()).append(
@@ -199,6 +207,7 @@ class _ExecutorPool:
         it keeps the pool observationally identical to a plain list scan.
         """
         held = self.reserved.pop(job_id, [])
+        self._reserved_total -= len(held)
         for executor_id in held:
             self._append(executor_id)
             self._by_job.setdefault(self.last_job[executor_id], deque()).append(
@@ -233,6 +242,7 @@ class _ExecutorPool:
             return None
         job_id = owners[0]
         executor_id = self.reserved[job_id].pop()
+        self._reserved_total -= 1
         if not self.reserved[job_id]:
             del self.reserved[job_id]
         return job_id, executor_id
@@ -269,7 +279,7 @@ class _ExecutorPool:
 
     @property
     def free_count(self) -> int:
-        return self._general_count + sum(len(v) for v in self.reserved.values())
+        return self._general_count + self._reserved_total
 
     def reserved_counts(self) -> dict[int, int]:
         return {job_id: len(v) for job_id, v in self.reserved.items() if v}

@@ -14,15 +14,17 @@ matter how many jobs flow through it.
 
 Determinism contract
 --------------------
-Folding uses :class:`ExactSum` — Shewchuk's exactly-rounded accumulation,
-the streaming form of :func:`math.fsum`. An exactly-rounded sum depends only
-on the *multiset* of addends, never on their order, so the aggregator's
-summary metrics are bit-identical to the materialized path's
+Folding uses :class:`ExactSum`, the streaming form of :func:`math.fsum`. An
+exactly-rounded sum depends only on the *multiset* of addends, never on
+their order or on when they are folded, so the aggregator's summary metrics
+are bit-identical to the materialized path's
 (:func:`~repro.campaign.store.result_metrics`) on any batch-sized trial:
 ``ScheduleTrace`` tallies the same per-record values with ``math.fsum`` over
-the full arrays. ``tests/test_streaming_equivalence.py`` pins this over the
-seven pinned fingerprint scenarios, and a hypothesis property test pins
-order independence directly.
+the full arrays. Per-record carbon is integrated in bounded batches through
+the same vectorized :meth:`~repro.carbon.trace.CarbonTrace.integrate_many`
+the materialized path uses. ``tests/test_streaming_equivalence.py`` pins
+this over the seven pinned fingerprint scenarios, and hypothesis property
+tests pin order and flush-schedule independence directly.
 """
 
 from __future__ import annotations
@@ -36,41 +38,58 @@ from typing import Any, Iterable
 from repro.carbon.trace import CarbonTrace
 from repro.simulator.trace import HoldRecord, TaskRecord
 
+#: Addends an :class:`ExactSum` holds before compacting them exactly.
+COMPACT_AT = 512
+
+#: Task (or hold) records a :class:`StreamingAggregator` buffers before
+#: integrating their carbon in one batch.
+FLUSH_AT = 1024
+
 
 class ExactSum:
-    """Exactly-rounded streaming summation (Shewchuk's algorithm).
+    """Exactly-rounded streaming summation: the streaming form of
+    :func:`math.fsum`.
 
-    Maintains a list of non-overlapping partial sums whose total is the
-    *exact* real-valued sum of everything added; :attr:`value` rounds that
-    exact total once. Equivalent to :func:`math.fsum` over the same
-    addends, which makes the result independent of addition order — the
-    property the streaming-vs-materialized determinism contract rests on.
-    The partials list stays tiny (tens of entries) for any realistic input,
-    so this is O(1) memory per accumulator.
+    Addends are appended to a list. When the list reaches
+    :data:`COMPACT_AT` entries it is compacted *exactly* by peeling
+    ``math.fsum`` residuals: ``s1 = fsum(xs)``, ``s2 = fsum(xs + [-s1])``,
+    and so on until a residual is zero. The kept ``[s1, s2, ...]`` sum to
+    exactly the same real number as the addends, so :attr:`value` (one
+    ``fsum`` over the list) is the correctly rounded sum of everything
+    added, whatever the compaction schedule. That sum depends only on the
+    *multiset* of addends, never on their order — the property the
+    streaming-vs-materialized determinism contract rests on. Memory is
+    bounded by the threshold, so this is O(1) per accumulator.
     """
 
     __slots__ = ("_partials",)
 
     def __init__(self, values: Iterable[float] = ()) -> None:
         self._partials: list[float] = []
-        for value in values:
-            self.add(value)
+        self.extend([float(value) for value in values])
 
     def add(self, x: float) -> None:
         """Fold one addend into the exact running sum."""
-        x = float(x)
         partials = self._partials
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
+        partials.append(float(x))
+        if len(partials) >= COMPACT_AT:
+            self._compact()
+
+    def extend(self, values: list[float]) -> None:
+        """Fold a list of float addends into the exact running sum."""
+        partials = self._partials
+        partials.extend(values)
+        if len(partials) >= COMPACT_AT:
+            self._compact()
+
+    def _compact(self) -> None:
+        # The first sum is kept even when zero: it carries the sign of a
+        # zero total.
+        addends = self._partials
+        kept = [math.fsum(addends)]
+        while residual := math.fsum(addends + [-s for s in kept]):
+            kept.append(residual)
+        self._partials = kept
 
     @property
     def value(self) -> float:
@@ -218,10 +237,15 @@ class StreamingAggregator:
     total_executors:
         Cluster size, for utilization (same meaning as on ScheduleTrace).
     carbon:
-        The carbon trace used for per-record ex-post integration. The
-        scalar :meth:`~repro.carbon.trace.CarbonTrace.integrate` is
-        bit-identical per interval to the vectorized ``integrate_many``
-        the materialized path uses, so folding per record loses nothing.
+        The carbon trace used for per-record ex-post integration. A final
+        record's busy time, counts and window are folded at once; its
+        ``(start, end)`` interval is buffered, and each buffer of up to
+        :data:`FLUSH_AT` records is integrated in one
+        :meth:`~repro.carbon.trace.CarbonTrace.integrate_many` call (the
+        materialized path's, and bit-identical per interval to the scalar
+        ``integrate``). Buffers flush when full, before a window closes
+        and before every carbon read (:meth:`carbon_footprint`, hence
+        :meth:`summary_metrics`, and :meth:`recent_windows`).
     idle_power_fraction:
         Idle-vs-busy power ratio for hold accounting (ScheduleTrace's).
     window_s:
@@ -265,6 +289,10 @@ class StreamingAggregator:
         self._jct_sum = ExactSum()
         self._max_task_end = 0.0
         self._finish_max = 0.0
+        # Records whose carbon is not integrated yet: task
+        # ``(start, end, window carbon sum)`` and hold ``(start, end)``.
+        self._pending_tasks: list[tuple[float, float, ExactSum]] = []
+        self._pending_holds: list[tuple[float, float]] = []
         # Job lifecycle ------------------------------------------------
         self.jobs_arrived = 0
         self.jobs_completed = 0
@@ -318,7 +346,10 @@ class StreamingAggregator:
         """Hold intervals arrive complete (emitted at job completion)."""
         self.hold_count += 1
         self._hold_busy.add(record.end - record.start)
-        self._hold_carbon.add(self.carbon.integrate(record.start, record.end))
+        pending = self._pending_holds
+        pending.append((record.start, record.end))
+        if len(pending) >= FLUSH_AT:
+            self._flush()
 
     def add_quota(self, time: float, quota: int) -> None:
         if self._last_quota != quota:
@@ -361,21 +392,47 @@ class StreamingAggregator:
     # Folding and windows
     # ------------------------------------------------------------------
     def _fold_task(self, record: TaskRecord) -> None:
-        busy = record.end - record.start
-        emitted = self.carbon.integrate(record.start, record.end)
+        start, end = record.start, record.end
+        busy = end - start
         self.tasks_completed += 1
         if record.preempted:
             self.tasks_preempted += 1
         self._task_busy.add(busy)
-        self._task_carbon.add(emitted)
-        if record.end > self._max_task_end:
-            self._max_task_end = record.end
-        window = self._window_at(record.end)
+        if end > self._max_task_end:
+            self._max_task_end = end
+        window = self._window_at(end)
         window.tasks_completed += 1
         if record.preempted:
             window.tasks_preempted += 1
         window.busy.add(busy)
-        window.carbon.add(emitted)
+        pending = self._pending_tasks
+        pending.append((start, end, window.carbon))
+        if len(pending) >= FLUSH_AT:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Integrate every buffered record's carbon in one batch per kind
+        and fold it into the global (and, for tasks, window) totals."""
+        if self._pending_tasks:
+            starts, ends, sinks = zip(*self._pending_tasks)
+            self._pending_tasks = []
+            emitted = self.carbon.integrate_many(starts, ends).tolist()
+            self._task_carbon.extend(emitted)
+            for sink, value in zip(sinks, emitted):
+                sink.add(value)
+        if self._pending_holds:
+            starts, ends = zip(*self._pending_holds)
+            self._pending_holds = []
+            self._hold_carbon.extend(
+                self.carbon.integrate_many(starts, ends).tolist()
+            )
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # Checkpoints written before carbon was folded in batches carry no
+        # buffers: everything they hold is already integrated.
+        state.setdefault("_pending_tasks", [])
+        state.setdefault("_pending_holds", [])
+        self.__dict__.update(state)
 
     def _window_at(self, t: float) -> _Window:
         """The live window covering time ``t``, creating/evicting as needed.
@@ -409,6 +466,7 @@ class StreamingAggregator:
         return window
 
     def _close_window(self, index: int) -> None:
+        self._flush()
         window = self._windows.pop(index)
         self._ring.append(window.snapshot())
         self._closed_through = max(self._closed_through, index)
@@ -449,6 +507,7 @@ class StreamingAggregator:
 
     def carbon_footprint(self) -> float:
         """Ex-post carbon tally, mirroring ScheduleTrace.carbon_footprint."""
+        self._flush()
         task_carbon = self._task_carbon.value
         if not self.hold_count:
             return task_carbon
@@ -486,6 +545,7 @@ class StreamingAggregator:
 
     def recent_windows(self) -> list[dict[str, Any]]:
         """Closed-window snapshots (oldest first), then open windows."""
+        self._flush()
         open_snapshots = [
             self._windows[index].snapshot() for index in sorted(self._windows)
         ]

@@ -87,13 +87,22 @@ def _task_count(scale_gb: int, heavy: bool, rng: np.random.Generator) -> int:
     return int(count)
 
 
+#: One deterministic DAG per ``(query, scale)``: at most 22 x 3 entries.
+_SHAPES: dict[tuple[str, int], JobDAG] = {}
+
+
 def tpch_job(
     query: str,
     scale_gb: int = 10,
     duration_jitter: float = 0.0,
     seed: int | None = None,
 ) -> JobDAG:
-    """Build the stage DAG for one TPC-H query at a given data scale.
+    """The stage DAG for one TPC-H query at a given data scale.
+
+    Without jitter the DAG is a pure function of ``(query, scale_gb)``, so
+    it is built once and the same immutable :class:`JobDAG` is returned on
+    every later call (its lazy caches are deterministic too). Jittered
+    calls build a fresh DAG.
 
     Parameters
     ----------
@@ -113,6 +122,17 @@ def tpch_job(
         raise ValueError(
             f"scale_gb must be one of {sorted(TPCH_SCALE_DURATIONS)}, got {scale_gb}"
         )
+    if duration_jitter > 0:
+        return _build(query, scale_gb, duration_jitter, seed)
+    dag = _SHAPES.get((query, scale_gb))
+    if dag is None:
+        dag = _SHAPES[query, scale_gb] = _build(query, scale_gb, 0.0, None)
+    return dag
+
+
+def _build(
+    query: str, scale_gb: int, duration_jitter: float, seed: int | None
+) -> JobDAG:
     rng = _query_rng(query, scale_gb)
     total = TPCH_SCALE_DURATIONS[scale_gb] * QUERY_COMPLEXITY[query]
     if duration_jitter > 0:

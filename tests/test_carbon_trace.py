@@ -210,14 +210,27 @@ class TestCumulativeIntegration:
             trace.cumulative_at(-1.0)
 
     def test_integrate_many_matches_scalar(self):
-        trace = make_trace([30.0, 120.0, 45.0, 200.0], step_seconds=60.0)
+        # Bit equality, not approx: the streaming aggregator integrates in
+        # batches and must tally exactly what per-record integration would.
         rng = np.random.default_rng(2)
-        starts = rng.uniform(0.0, 600.0, size=64)
-        ends = starts + rng.uniform(0.0, 300.0, size=64)
-        batch = trace.integrate_many(starts, ends)
-        assert batch.shape == (64,)
-        for a, b, value in zip(starts, ends, batch):
-            assert value == pytest.approx(trace.integrate(a, b))
+        for wrap in (True, False):
+            trace = CarbonTrace(
+                [30.0, 120.0, 45.0, 200.0, 17.5], step_seconds=60.0, wrap=wrap
+            )
+            horizon = 4 * trace.duration_seconds  # well past the end
+            starts = rng.uniform(0.0, horizon, size=2000)
+            ends = starts + rng.exponential(200.0, size=2000)
+            # Zero-length intervals, step and trace boundaries, exact ends.
+            edges = np.array([0.0, 60.0, 299.999, 300.0, 300.0, 901.25, 1500.0])
+            starts = np.concatenate([starts, edges, [0.0, 60.0, 290.0]])
+            ends = np.concatenate([ends, edges, [300.0, 600.0, 3000.0]])
+            batch = trace.integrate_many(starts, ends)
+            assert batch.shape == starts.shape
+            for a, b, value in zip(
+                starts.tolist(), ends.tolist(), batch.tolist()
+            ):
+                assert value == trace.integrate(a, b), (wrap, a, b)
+            assert batch[-10:-3].tolist() == [0.0] * len(edges)
 
     def test_integrate_many_no_wrap(self):
         trace = CarbonTrace([50.0, 150.0], step_seconds=60.0, wrap=False)

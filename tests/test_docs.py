@@ -106,7 +106,9 @@ class TestLinksResolve:
 
 class TestPythonBlocksRun:
     @pytest.mark.parametrize("path", DOC_FILES, ids=DOC_IDS)
-    def test_python_blocks_execute(self, path):
+    def test_python_blocks_execute(self, path, tmp_path, monkeypatch):
+        # Blocks may write artifacts (``obs/``) into the working directory.
+        monkeypatch.chdir(tmp_path)
         for block in fenced_blocks(path, "python"):
             exec(compile(block, str(path), "exec"), {"__name__": "__docs__"})
 

@@ -176,3 +176,64 @@ class TestMatchesReferenceImplementation:
             if ref.free_for(job) == 0:
                 job = next(j for j in jobs if ref.free_for(j) > 0)
             assert fast.take(job) == ref.take(job)
+
+
+def _recount(pool):
+    return sum(len(held) for held in pool.reserved.values())
+
+
+class TestReservedCount:
+    """``free_count`` reads a running reserved total; it must always equal
+    a recount of the reserved lists, through every verb that moves an
+    executor, the capacity hooks ``set_capacity`` uses included."""
+
+    @given(pool_traffic(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_running_total_matches_recount(self, traffic, rng):
+        count, num_ops = traffic
+        pool = _ExecutorPool(count)
+        out = []  # (executor, job) pairs running a task
+        offline = []
+        jobs = list(range(3))
+        for _ in range(num_ops):
+            op = rng.random()
+            job = rng.choice(jobs)
+            if op < 0.35 and pool.free_for(job) > 0:
+                out.append((pool.take(job)[0], job))
+            elif op < 0.65 and out:
+                eid, owner = out.pop(rng.randrange(len(out)))
+                pool.release(eid, owner, hold=rng.random() < 0.5)
+            elif op < 0.75:
+                pool.unreserve(job)
+            elif op < 0.85:  # shrink: general first, then reserved
+                if pool.general_free > 0:
+                    offline.append(pool.pop_newest_general())
+                else:
+                    popped = pool.pop_reserved()
+                    if popped is not None:
+                        offline.append(popped[1])
+            elif offline:  # grow
+                pool.add_back(offline.pop())
+            assert pool._reserved_total == _recount(pool)
+            assert pool.free_count == pool.general_free + _recount(pool)
+            assert pool.free_count + len(out) + len(offline) == count
+
+    def test_checkpoint_without_the_count_recomputes_it(self):
+        import pickle
+
+        pool = _ExecutorPool(4)
+        a, _ = pool.take(7)
+        b, _ = pool.take(7)
+        c, _ = pool.take(8)
+        pool.release(a, 7, hold=True)
+        pool.release(b, 7, hold=True)
+        pool.release(c, 8, hold=True)
+        state = dict(vars(pool))
+        del state["_reserved_total"]  # the layout before the running total
+        old = _ExecutorPool.__new__(_ExecutorPool)
+        old.__dict__.update(state)
+        restored = pickle.loads(pickle.dumps(old))
+        assert restored._reserved_total == 3
+        assert restored.free_count == 4
+        assert restored.take(7) == (b, False)
+        assert restored.free_count == 3

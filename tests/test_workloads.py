@@ -67,6 +67,25 @@ class TestTPCH:
         jittered = tpch_job("q1", 10, duration_jitter=0.3, seed=5)
         assert plain.total_work != jittered.total_work
 
+    def test_unjittered_shape_is_built_once(self):
+        from repro.workloads import tpch
+
+        for scale in (2, 10, 50):
+            for query in TPCH_QUERIES:
+                dag = tpch_job(query, scale)
+                assert tpch_job(query, scale) is dag
+                fresh = tpch._build(query, scale, 0.0, None)
+                assert dag.stages == fresh.stages and dag.name == fresh.name
+        assert len(tpch._SHAPES) == 66
+
+    def test_jittered_calls_are_fresh_and_deterministic_per_seed(self):
+        a = tpch_job("q1", 10, duration_jitter=0.3, seed=5)
+        b = tpch_job("q1", 10, duration_jitter=0.3, seed=5)
+        other = tpch_job("q1", 10, duration_jitter=0.3, seed=6)
+        assert a is not b and a is not tpch_job("q1", 10)
+        assert a.stages == b.stages
+        assert a.total_work != other.total_work
+
     def test_catalog_matches_queries(self):
         catalog = tpch_query_catalog()
         assert len(catalog) == 22
